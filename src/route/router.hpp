@@ -2,13 +2,15 @@
 //
 // Architecture (docs/ROUTING.md has the full story):
 //
-//   accept loop ──> one reader thread per client connection
-//                     │ read a QSS2 frame, answer ping/stats/shutdown
-//                     │ locally; for solves, hash the canonical cache
-//                     │ key onto the ring and proxy the request to the
-//                     │ owning backend (breaker-gated, pooled
+//   svc::ConnectionHost (svc/host.hpp): listeners, accept loop, one
+//                     │ reader thread per client connection, request
+//                     │ parsing, ping/stats/shutdown, stats ring
+//   Router::on_solve ─┤ hash the solve's canonical cache key onto the
+//                     │ ring and forward the client's payload bytes to
+//                     │ the owning backend (breaker-gated, pooled
 //                     │ RetryingClient), echoing the client's request
-//                     │ and trace ids end to end
+//                     │ and trace ids end to end and relaying the
+//                     │ backend's status, both header flags and payload
 //   health loop ──> periodic pings per backend feed the same breakers
 //   replicator  ──> keys whose hit count crosses the hot threshold are
 //                   pushed to R ring successors so a node death doesn't
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -34,19 +37,19 @@
 #include <utility>
 #include <vector>
 
-#include "obs/snapshot.hpp"
 #include "route/health.hpp"
 #include "route/ring.hpp"
 #include "route/topology.hpp"
+#include "svc/host.hpp"
 #include "svc/protocol.hpp"
 #include "svc/retry.hpp"
 
 namespace qbss::route {
 
-/// Everything a Router needs to know at start().
-struct RouterConfig {
-  std::string socket_path;  ///< client-facing Unix socket ("" = none)
-  int tcp_port = 0;         ///< client-facing loopback TCP (0 = off)
+/// Everything a Router needs to know at start(). The client-facing
+/// endpoints, timeouts, stats ring and epilogue paths are the host's
+/// (svc::HostConfig).
+struct RouterConfig : svc::HostConfig {
   Topology topology;        ///< the backend fleet (>= 1 node)
   /// Ring successors hot keys are replicated to (0 = replication off).
   std::size_t replicas = 1;
@@ -59,22 +62,13 @@ struct RouterConfig {
   double backend_timeout_ms = 5000.0; ///< per-attempt socket timeout
   int backend_retries = 2;        ///< extra attempts per proxied call
   std::size_t pool_capacity = 8;  ///< idle connections kept per backend
-  double read_timeout_ms = 30000.0;   ///< client-facing recv timeout
-  double write_timeout_ms = 10000.0;  ///< client-facing send timeout
-  double stats_interval_ms = 1000.0;  ///< snapshot-ring cadence (0 = off)
-  std::size_t stats_ring = 8;
-  std::string manifest_path;  ///< manifest epilogue at shutdown ("" = none)
-  std::string flight_path;    ///< flight-recorder dump destination ("")
-  /// Extra manifest key/values (the CLI records its flags here).
-  std::vector<std::pair<std::string, std::string>> manifest_extra;
-  /// Optional externally-owned stop flag (signal handlers set it).
-  const std::atomic<bool>* external_stop = nullptr;
 };
 
-/// The routing tier. Same lifecycle contract as svc::Server: construct,
-/// start(), wait() from a thread that is not one of the router's own;
-/// shutdown() is idempotent and callable from any thread.
-class Router {
+/// The routing tier: the request handler behind a svc::ConnectionHost.
+/// Same lifecycle contract as svc::Server: construct, start(), wait()
+/// from a thread that is not one of the router's own; shutdown() is
+/// idempotent and callable from any thread.
+class Router : private svc::ConnectionHost::Handler {
  public:
   explicit Router(RouterConfig config);
   ~Router();
@@ -87,7 +81,7 @@ class Router {
 
   /// Responses relayed or answered so far (any status).
   [[nodiscard]] std::uint64_t responses() const noexcept {
-    return responses_.load(std::memory_order_relaxed);
+    return host_.responses();
   }
 
   /// Point-in-time view of one backend (stats verb and tests).
@@ -120,42 +114,34 @@ class Router {
         : spec(std::move(spec_in)), breaker(breaker_in) {}
   };
 
-  /// One client connection (same ownership story as svc::Server).
-  struct Connection {
-    Connection(int fd_in, std::uint64_t id_in) : fd(fd_in), id(id_in) {
-      read_buf.reserve(4096);
-    }
-    ~Connection();
-    int fd;
-    std::uint64_t id;
-    std::mutex write_mu;
-    std::string read_buf;
-  };
-
-  /// One queued hot-key replication push.
+  /// One queued hot-key replication push: the client's request bytes,
+  /// replayed verbatim to each target.
   struct Replication {
-    svc::Request request;
+    std::string payload;
     std::vector<std::size_t> targets;  ///< backend indices
     std::uint64_t key_hash = 0;
     std::uint64_t trace_id = 0;
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
+  // svc::ConnectionHost::Handler.
+  /// Routes one solve: breaker-gated candidate walk (owner first, then
+  /// ring successors), forward the client's payload, relay the reply.
+  /// Sheds when every candidate is down.
+  void on_solve(const std::shared_ptr<svc::Connection>& conn,
+                const svc::FrameHeader& frame, svc::Request&& request,
+                const std::string& payload,
+                std::chrono::steady_clock::time_point received) override;
+  void on_shutdown() override;
+  void on_drain() override;
+  void add_stats_extras(svc::Extras* extra) override;
+  void add_manifest_extras(obs::Manifest* manifest) override;
+
   void health_loop();
   void replication_loop();
-  void stats_loop();
-  void handle_request(const std::shared_ptr<Connection>& conn,
-                      const svc::FrameHeader& frame,
-                      const std::string& payload);
-  /// Routes one solve: breaker-gated candidate walk (owner first, then
-  /// ring successors), proxy, relay. Sheds when every candidate is down.
-  void proxy_solve(const std::shared_ptr<Connection>& conn,
-                   const svc::FrameHeader& frame, svc::Request& request);
-  /// One proxied call against backend `index` through its pool. False
-  /// on transport exhaustion (the breaker hears about either outcome).
-  [[nodiscard]] bool call_backend(std::size_t index,
-                                  const svc::Request& request,
+  /// One proxied call of `payload` against backend `index` through its
+  /// pool. False on transport exhaustion (the breaker hears about either
+  /// outcome).
+  [[nodiscard]] bool call_backend(std::size_t index, std::string_view payload,
                                   std::uint64_t trace_id,
                                   svc::Client::Reply* reply);
   /// Hit-count bookkeeping; true when `key` just crossed the hot
@@ -163,38 +149,18 @@ class Router {
   /// whether the key is already hot (replica set serves it).
   [[nodiscard]] bool note_hit(const std::string& key, bool* hot);
   void enqueue_replication(Replication task);
-  [[nodiscard]] std::string build_stats_payload(const std::string& format);
-  void respond(const std::shared_ptr<Connection>& conn,
-               std::uint64_t request_id, std::uint64_t trace_id,
-               svc::Status status, std::uint32_t flags,
-               std::string_view payload, double latency_us);
   void record_backend_result(std::size_t index, bool ok);
-  void write_manifest();
-  void note_flight_trigger();
-  void dump_flight_recorder();
   void log_route_start();
 
   RouterConfig config_;
   HashRing ring_;
   std::vector<std::unique_ptr<Backend>> backends_;  ///< ring-index order
 
-  std::vector<int> listen_fds_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> responses_{0};
-  std::atomic<std::uint64_t> next_conn_id_{0};
   std::atomic<std::uint64_t> hot_keys_{0};
   std::atomic<std::uint64_t> hot_rotation_{0};
-  std::atomic<bool> flight_pending_{false};
-  std::atomic<std::uint64_t> last_flight_dump_ns_{0};
 
-  std::thread accept_thread_;
   std::thread health_thread_;
   std::thread replication_thread_;
-  std::thread stats_thread_;
-
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;  ///< appended only by the accept loop
 
   /// Hot-key table: hit counts plus the already-hot set. Bounded; when
   /// the count table overflows it is reset (hot verdicts persist).
@@ -206,13 +172,9 @@ class Router {
   std::condition_variable replication_cv_;
   std::deque<Replication> replication_queue_;
 
-  std::mutex ring_mu_;  ///< guards the snapshot ring below
-  std::deque<obs::Snapshot> snapshots_;
-  std::mutex stats_mu_;
-  std::condition_variable stats_cv_;
-
-  std::mutex health_mu_;  ///< pairs with health_cv_ for interruptible sleep
-  std::condition_variable health_cv_;
+  /// Declared last: destroyed first, after Router::~Router has joined
+  /// every thread that calls back into the members above.
+  svc::ConnectionHost host_{config_, "route", *this};
 };
 
 }  // namespace qbss::route

@@ -130,6 +130,11 @@ std::uint64_t Client::make_trace_id() {
 }
 
 bool Client::call(const Request& request, Reply* reply, std::string* error) {
+  return call_payload(serialize_request(request), reply, error);
+}
+
+bool Client::call_payload(std::string_view payload, Reply* reply,
+                          std::string* error) {
   if (fd_ < 0) {
     if (error) *error = "not connected";
     return false;
@@ -138,14 +143,12 @@ bool Client::call(const Request& request, Reply* reply, std::string* error) {
   header.request_id = next_id_++;
   header.trace_id = make_trace_id();
   last_trace_id_ = header.trace_id;
-  if (!write_frame(fd_, header, serialize_request(request), error)) {
-    return false;
-  }
+  if (!write_frame(fd_, header, payload, error)) return false;
   // One outstanding request per connection: the next response frame with
   // our id is the answer (ids catch desynchronized peers).
   FrameHeader response;
-  std::string payload;
-  const ReadResult rc = read_frame(fd_, &response, &payload, error);
+  std::string body;
+  const ReadResult rc = read_frame(fd_, &response, &body, error);
   if (rc == ReadResult::kEof) {
     if (error) *error = "server closed the connection";
     return false;
@@ -169,7 +172,7 @@ bool Client::call(const Request& request, Reply* reply, std::string* error) {
   reply->cache_hit = (response.flags & kFlagCacheHit) != 0;
   reply->disk_hit = (response.flags & kFlagDiskHit) != 0;
   reply->trace_id = response.trace_id;
-  reply->payload = std::move(payload);
+  reply->payload = std::move(body);
   return true;
 }
 

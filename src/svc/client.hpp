@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "svc/endpoint.hpp"
 #include "svc/protocol.hpp"
@@ -54,6 +55,12 @@ class Client {
   /// record a sampled span chain under it.
   [[nodiscard]] bool call(const Request& request, Reply* reply,
                           std::string* error);
+
+  /// call() for a request that is already serialized: sends `payload`
+  /// as the frame body unchanged (a proxy forwards its client's bytes
+  /// this way) and blocks for the response.
+  [[nodiscard]] bool call_payload(std::string_view payload, Reply* reply,
+                                  std::string* error);
 
   /// Round-trips a ping frame.
   [[nodiscard]] bool ping(std::string* error);

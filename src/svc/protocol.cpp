@@ -155,6 +155,31 @@ std::string lossless(double v) {
   return out.str();
 }
 
+/// The instance classes the offline policies are defined on. Their own
+/// contracts abort outside them, which would take the whole server down
+/// for one bad request; false + *error names the missing property.
+bool in_policy_domain(const Request& request, std::string* error) {
+  const std::string& algo = request.algo;
+  if (algo != "crcd" && algo != "crp2d" && algo != "crad") return true;
+  if (!request.instance.common_release()) {
+    *error = algo + " needs a common release (every job released at 0)";
+    return false;
+  }
+  if (algo == "crcd" && !request.instance.common_deadline()) {
+    *error = "crcd needs a common deadline";
+    return false;
+  }
+  if (algo == "crp2d") {
+    for (const core::QJob& j : request.instance.jobs()) {
+      if (!core::is_power_of_two(j.deadline)) {
+        *error = "crp2d needs power-of-two deadlines";
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void encode_header(const FrameHeader& header,
@@ -461,6 +486,7 @@ bool solve_request(const Request& request, std::string* payload,
     *error = "empty instance";
     return false;
   }
+  if (!in_policy_domain(request, error)) return false;
   const double alpha = request.alpha;
   std::ostringstream out;
   // max_digits10 throughout: the classical section must carry the exact

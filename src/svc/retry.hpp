@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/xoshiro.hpp"
 #include "svc/client.hpp"
@@ -44,6 +45,11 @@ class RetryingClient {
   /// attempts are spent, or `call_deadline_ms` elapses.
   [[nodiscard]] bool call(const Request& request, Client::Reply* reply,
                           std::string* error);
+
+  /// call() for a request that is already serialized (Client's
+  /// call_payload through the same retry loop).
+  [[nodiscard]] bool call_payload(std::string_view payload,
+                                  Client::Reply* reply, std::string* error);
 
   /// Round-trips a ping frame through the retry loop.
   [[nodiscard]] bool ping(std::string* error);

@@ -1,20 +1,8 @@
 #include "svc/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "faults/faults.hpp"
-#include "io/json.hpp"
 #include "obs/histogram.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
@@ -39,13 +27,6 @@ bool deadline_expired(Clock::time_point admitted, double deadline_ms) {
   return elapsed_us(admitted) > deadline_ms * 1000.0;
 }
 
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
-
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              Clock::now().time_since_epoch())
@@ -60,36 +41,7 @@ void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// One `faults.fired` event per clause kind that fired on this
-/// opportunity, carrying the trace id of the request it hit so the
-/// flight recording correlates the fault to the surrounding req events.
-void log_fault_fired(const faults::Action& action, const char* site,
-                     std::uint64_t trace_id, std::uint64_t conn_id) {
-  for (std::uint32_t kind = 0; kind < faults::FaultSpec::kKindCount; ++kind) {
-    if ((action.fired_kinds & (1u << kind)) == 0) continue;
-    QBSS_LOG_WARN(
-        "faults.fired", trace_id, A("site", site),
-        A("kind",
-          faults::kind_name(static_cast<faults::FaultSpec::Kind>(kind))),
-        A("conn", conn_id), A("delay_ms", action.delay_ms));
-  }
-}
-
-const char* status_name(Status status) {
-  switch (status) {
-    case Status::kOk:
-      return "ok";
-    case Status::kShed:
-      return "shed";
-    case Status::kError:
-      break;
-  }
-  return "error";
-}
-
 }  // namespace
-
-Server::Connection::~Connection() { close_fd(fd); }
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
@@ -105,11 +57,6 @@ Server::~Server() {
 }
 
 bool Server::start(std::string* error) {
-  if (config_.socket_path.empty() && config_.tcp_port == 0) {
-    if (error) *error = "no endpoint: need a socket path or a TCP port";
-    return false;
-  }
-
   if (!config_.cache_dir.empty()) {
     // Open (and crash-recover) the disk tier before binding anything:
     // an unusable cache directory fails the whole start instead of
@@ -132,71 +79,15 @@ bool Server::start(std::string* error) {
       // Corruption or a rebuilt manifest on startup is exactly what the
       // flight recorder exists for: arm the shutdown dump so the black
       // box of this run is preserved alongside the recovery log event.
-      note_flight_trigger();
+      host_.note_flight_trigger();
     }
   }
-
-  if (!config_.socket_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.socket_path.size() >= sizeof(addr.sun_path)) {
-      if (error) *error = "socket path too long";
-      return false;
-    }
-    std::strncpy(addr.sun_path, config_.socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      if (error) *error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
-    ::unlink(config_.socket_path.c_str());  // stale socket from a crash
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
-            0 ||
-        ::listen(fd, 64) < 0) {
-      if (error) {
-        *error = "bind/listen " + config_.socket_path + ": " +
-                 std::strerror(errno);
-      }
-      ::close(fd);
-      return false;
-    }
-    listen_fds_.push_back(fd);
-  }
-
-  if (config_.tcp_port != 0) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      if (error) *error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(config_.tcp_port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
-            0 ||
-        ::listen(fd, 64) < 0) {
-      if (error) {
-        *error = "bind/listen 127.0.0.1:" + std::to_string(config_.tcp_port) +
-                 ": " + std::strerror(errno);
-      }
-      ::close(fd);
-      return false;
-    }
-    listen_fds_.push_back(fd);
-  }
+  if (!host_.start(error)) return false;
 
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  if (config_.stats_interval_ms > 0.0) {
-    stats_thread_ = std::thread([this] { stats_loop(); });
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
   log_server_start();
   return true;
 }
@@ -205,14 +96,9 @@ void Server::log_server_start() {
   // The effective configuration as one event: every soak's log/flight
   // artifact is self-describing instead of relying on the CI command
   // line. Endpoint merged into one arg to stay within the arg budget.
-  std::string endpoint = config_.socket_path;
-  if (config_.tcp_port != 0) {
-    if (!endpoint.empty()) endpoint += "+";
-    endpoint += "tcp:" + std::to_string(config_.tcp_port);
-  }
   const faults::FaultPlan plan = faults::injector().plan();
   QBSS_LOG_INFO(
-      "server.start", 0, A("endpoint", endpoint),
+      "server.start", 0, A("endpoint", host_.endpoint_label()),
       A("workers", config_.workers), A("queue_depth", config_.queue_depth),
       A("cache_entries", config_.cache_entries),
       A("cache_shards", config_.cache_shards), A("batch", config_.batch),
@@ -231,228 +117,47 @@ void Server::log_server_start() {
                                    : std::string_view(plan.text)));
 }
 
-void Server::shutdown() {
-  if (!stopping_.exchange(true, std::memory_order_acq_rel)) {
-    if (config_.drain_ms > 0.0) {
-      // Bound the shutdown drain: backlog still queued past this point
-      // is shed instead of solved, so exit time is O(drain_ms) rather
-      // than O(queue_depth * solve time).
-      drain_deadline_ns_.store(now_ns() + ms_to_ns(config_.drain_ms),
-                               std::memory_order_relaxed);
-    }
-    std::size_t queued = 0;
-    {
-      const std::lock_guard<std::mutex> lock(queue_mu_);
-      queued = queue_.size();
-    }
-    QBSS_LOG_INFO("server.drain", 0, A("queued", queued),
-                  A("drain_ms", config_.drain_ms));
+void Server::shutdown() { host_.shutdown(); }
+
+void Server::wait() { host_.wait(); }
+
+void Server::on_shutdown() {
+  if (config_.drain_ms > 0.0) {
+    // Bound the shutdown drain: backlog still queued past this point is
+    // shed instead of solved, so exit time is O(drain_ms) rather than
+    // O(queue_depth * solve time).
+    drain_deadline_ns_.store(now_ns() + ms_to_ns(config_.drain_ms),
+                             std::memory_order_relaxed);
   }
+  std::size_t queued = 0;
+  {
+    // Taken after the host set its stopping flag, so a worker cannot
+    // check its wait predicate in between and miss the notify below.
+    const std::lock_guard<std::mutex> lock(queue_mu_);
+    queued = queue_.size();
+  }
+  QBSS_LOG_INFO("server.drain", 0, A("queued", queued),
+                A("drain_ms", config_.drain_ms));
   queue_cv_.notify_all();
-  stats_cv_.notify_all();
 }
 
-void Server::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (stats_thread_.joinable()) stats_thread_.join();
-
-  // Unblock every reader stuck in recv; fds stay open (and numbers
-  // un-reused) until the last Connection reference drops.
-  {
-    const std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) {
-      ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  for (std::thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
-  }
-
+void Server::on_drain() {
   // Readers are gone, so the queue only shrinks now: workers drain the
   // remaining backlog (bounded by queue_depth) and exit.
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-
-  for (int& fd : listen_fds_) close_fd(fd);
-  if (!config_.socket_path.empty()) {
-    ::unlink(config_.socket_path.c_str());
-  }
-  {
-    const std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
   // Workers are gone, so no new puts: drain the write-behind queue and
   // sync, making a clean shutdown lose nothing regardless of sync mode.
   cache_.flush();
   QBSS_LOG_INFO("server.exit", 0, A("responses", responses()));
-  if (!config_.manifest_path.empty()) {
-    write_manifest();
-    config_.manifest_path.clear();  // once per lifetime
-  }
-  if (flight_pending_.exchange(false, std::memory_order_acq_rel)) {
-    // The final, complete black box: every trigger-time dump above was
-    // rate-limited and raced ongoing traffic; this one sees it all.
-    dump_flight_recorder();
-  }
 }
 
-void Server::dump_flight_recorder() {
-  if (config_.flight_path.empty()) return;
-  QBSS_COUNT("svc.flight.dumps");
-  obs::flush_logs();  // the sink stream and the dump agree on history
-  obs::dump_flight_recorder(config_.flight_path.c_str());
-}
-
-void Server::note_flight_trigger() {
-  if (config_.flight_path.empty()) return;
-  flight_pending_.store(true, std::memory_order_release);
-  // Rate limit trigger-time dumps: a chaos plan can fire hundreds of
-  // clauses per second, and each dump rewrites the whole file anyway.
-  const std::uint64_t now = obs::now_ns();
-  std::uint64_t last = last_flight_dump_ns_.load(std::memory_order_relaxed);
-  constexpr std::uint64_t kMinGapNs = 250'000'000;  // 250 ms
-  if (last != 0 && now - last < kMinGapNs) return;
-  if (last_flight_dump_ns_.compare_exchange_strong(
-          last, now, std::memory_order_acq_rel)) {
-    dump_flight_recorder();
-  }
-}
-
-void Server::accept_loop() {
-  std::vector<pollfd> pfds;
-  pfds.reserve(listen_fds_.size());
-  for (const int fd : listen_fds_) {
-    pfds.push_back(pollfd{fd, POLLIN, 0});
-  }
-  while (!stopping_.load(std::memory_order_acquire)) {
-    if (config_.external_stop != nullptr &&
-        config_.external_stop->load(std::memory_order_relaxed)) {
-      shutdown();
-      break;
-    }
-    for (pollfd& p : pfds) p.revents = 0;
-    const int ready = ::poll(pfds.data(), pfds.size(), 100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    for (const pollfd& p : pfds) {
-      if ((p.revents & POLLIN) == 0) continue;
-      const int fd = ::accept4(p.fd, nullptr, nullptr, SOCK_CLOEXEC);
-      if (fd < 0) {
-        const int err = errno;
-        if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
-            err == ENOMEM) {
-          // Descriptor/buffer exhaustion: back off instead of spinning
-          // hot, and keep the listener alive — finishing connections
-          // free descriptors.
-          QBSS_COUNT("svc.accept.overload");
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        } else if (err == EINTR || err == ECONNABORTED || err == EAGAIN ||
-                   err == EPROTO) {
-          // The peer vanished between poll-readiness and accept, or the
-          // call was interrupted: routine, take the next one.
-          QBSS_COUNT("svc.accept.retry");
-        } else {
-          QBSS_COUNT("svc.accept.error");
-        }
-        continue;
-      }
-      if (stopping_.load(std::memory_order_acquire)) {
-        ::close(fd);
-        continue;
-      }
-      set_socket_timeouts(fd, config_.read_timeout_ms,
-                          config_.write_timeout_ms);
-      QBSS_COUNT("svc.connections");
-      const std::uint64_t conn_id =
-          next_conn_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-      auto conn = std::make_shared<Connection>(fd, conn_id);
-      QBSS_LOG_INFO("conn.accept", 0, A("conn", conn_id));
-      const std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-      readers_.emplace_back(
-          [this, conn = std::move(conn)]() mutable { reader_loop(conn); });
-    }
-  }
-}
-
-void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  // The frame payload lands in the connection's preallocated buffer;
-  // read_frame assigns in place, so steady-state requests reuse the same
-  // storage instead of allocating per frame.
-  std::string& payload = conn->read_buf;
-  std::string error;
-  const char* close_reason = "eof";
-  bool abnormal = false;
-  for (;;) {
-    FrameHeader header;
-    const ReadResult rc = read_frame(conn->fd, &header, &payload, &error);
-    if (rc == ReadResult::kTimeout) {
-      // Slowloris / stalled peer: reclaim the connection instead of
-      // holding a reader thread hostage forever.
-      QBSS_COUNT("svc.timeout.read");
-      ::shutdown(conn->fd, SHUT_RDWR);
-      close_reason = "read_timeout";
-      abnormal = true;
-      break;
-    }
-    if (rc == ReadResult::kBadFrame) {
-      // The stream cannot resync after a bad header, but the peer gets
-      // a typed error frame saying why before the close — never a
-      // silent drop.
-      QBSS_COUNT("svc.badframe");
-      QBSS_LOG_WARN("req.error", 0, A("conn", conn->id),
-                    A("message", error));
-      respond(Waiter{conn, 0, Clock::now(), 0.0, {}}, Status::kError, 0,
-              "message: " + error + "\n");
-      close_reason = "badframe";
-      abnormal = true;
-      break;
-    }
-    if (rc == ReadResult::kError) {
-      close_reason = "read_error";
-      abnormal = true;
-      break;
-    }
-    if (rc != ReadResult::kFrame) break;
-    const faults::Action fault = QBSS_FAULT(faults::Site::kRead);
-    log_fault_fired(fault, "read", header.trace_id, conn->id);
-    if (fault.any()) note_flight_trigger();
-    if (fault.delay_ms > 0.0) sleep_ms(fault.delay_ms);
-    if (fault.drop_connection) {
-      // Injected short read: tear the connection down mid-request; the
-      // client sees EOF with no response and must reconnect and retry.
-      ::shutdown(conn->fd, SHUT_RDWR);
-      close_reason = "fault_drop";
-      abnormal = true;
-      break;
-    }
-    QBSS_COUNT("svc.requests");
-    handle_request(conn, header, payload);
-    if (stopping_.load(std::memory_order_acquire)) {
-      close_reason = "shutdown";
-      break;
-    }
-  }
-  QBSS_LOG_INFO("conn.close", 0, A("conn", conn->id),
-                A("reason", close_reason));
-  if (abnormal) note_flight_trigger();
-  // Pending waiters still hold Connection references, so responses in
-  // flight stay safe; pruning here just stops conns_ growing forever.
-  const std::lock_guard<std::mutex> lock(conns_mu_);
-  std::erase(conns_, conn);
-}
-
-void Server::handle_request(const std::shared_ptr<Connection>& conn,
-                            const FrameHeader& frame,
-                            const std::string& payload) {
-  QBSS_SPAN("svc.request");
-  const Clock::time_point admitted = Clock::now();
-
+void Server::on_solve(const std::shared_ptr<Connection>& conn,
+                      const FrameHeader& frame, Request&& request,
+                      const std::string& /*payload*/,
+                      Clock::time_point received) {
   // Wire-trace sampling decision: the client stamped a uniform random
   // id, so divisibility picks ~1/trace_sample of traffic. Every response
   // echoes the id regardless; only sampled requests pay for stage
@@ -464,41 +169,16 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
                   obs::trace_enabled();
   if (trace.sampled) {
     QBSS_COUNT("svc.trace.sampled");
-    trace.read_ns = obs::now_ns();
+    // obs::now_ns() reads the same steady clock, so the host's receive
+    // time is where the accept stage (frame read to parsed) starts.
+    trace.read_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            received.time_since_epoch())
+            .count());
+    trace.parsed_ns = obs::now_ns();
   }
 
-  Waiter self{conn, frame.request_id, admitted, 0.0, trace};
-
-  Request request;
-  std::string error;
-  if (!parse_request(payload, &request, &error)) {
-    QBSS_COUNT("svc.errors");
-    QBSS_LOG_WARN("req.error", trace.id, A("conn", conn->id),
-                  A("req", frame.request_id), A("message", error));
-    respond(self, Status::kError, 0, "message: " + error + "\n");
-    return;
-  }
-  if (trace.sampled) trace.parsed_ns = obs::now_ns();
-  self.trace = trace;
-
-  if (request.verb == Verb::kPing) {
-    QBSS_COUNT("svc.pings");
-    respond(self, Status::kOk, 0, "pong\n");
-    return;
-  }
-  if (request.verb == Verb::kShutdown) {
-    respond(self, Status::kOk, 0, "bye\n");
-    shutdown();
-    return;
-  }
-  if (request.verb == Verb::kStats) {
-    // Answered inline on the reader thread, bypassing admission: the
-    // whole point of live introspection is that it still works when the
-    // queue is full or the server is degraded.
-    QBSS_COUNT("svc.stats.requests");
-    respond(self, Status::kOk, 0, build_stats_payload(request.stats_format));
-    return;
-  }
+  Waiter self{conn, frame.request_id, received, 0.0, trace};
 
   const std::string key = cache_key(request);
   self.deadline_ms = request.deadline_ms;
@@ -595,10 +275,10 @@ void Server::worker_loop() {
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] {
-        return !queue_.empty() || stopping_.load(std::memory_order_acquire);
+        return !queue_.empty() || host_.stopping();
       });
       if (queue_.empty()) {
-        if (stopping_.load(std::memory_order_acquire)) return;
+        if (host_.stopping()) return;
         continue;
       }
       // Batch drain: group small requests into one wakeup.
@@ -615,79 +295,28 @@ void Server::worker_loop() {
   }
 }
 
-void Server::stats_loop() {
-  const auto interval =
-      std::chrono::duration<double, std::milli>(config_.stats_interval_ms);
-  const std::size_t cap = std::max<std::size_t>(config_.stats_ring, 1);
-  // Baseline capture at startup: the first stats reply already has a
-  // real window instead of falling back to lifetime averages.
-  {
-    obs::Snapshot snap = obs::capture_snapshot(true);
-    const std::lock_guard<std::mutex> rlock(ring_mu_);
-    ring_.push_back(std::move(snap));
-  }
-  QBSS_COUNT("svc.stats.snapshots");
-  std::unique_lock<std::mutex> lock(stats_mu_);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    stats_cv_.wait_for(lock, interval, [this] {
-      return stopping_.load(std::memory_order_acquire);
-    });
-    if (stopping_.load(std::memory_order_acquire)) break;
-    obs::Snapshot snap = obs::capture_snapshot(true);
-    QBSS_COUNT("svc.stats.snapshots");
-    const std::lock_guard<std::mutex> rlock(ring_mu_);
-    ring_.push_back(std::move(snap));
-    while (ring_.size() > cap) ring_.pop_front();
-  }
-}
-
-std::string Server::build_stats_payload(const std::string& format) {
-  obs::StatsFrame frame;
-  frame.lifetime = obs::capture_snapshot(true);
-  frame.uptime_seconds = frame.lifetime.uptime_seconds;
-  frame.interval_ms = config_.stats_interval_ms;
-  bool have_window = false;
-  {
-    const std::lock_guard<std::mutex> lock(ring_mu_);
-    if (!ring_.empty()) {
-      frame.window = obs::delta(ring_.front(), frame.lifetime);
-      have_window = true;
-    }
-  }
-  if (!have_window) {
-    // Ring disabled (--stats-interval-ms 0): the "window" degrades to
-    // the whole lifetime, i.e. lifetime-average rates.
-    frame.window = obs::delta(obs::Snapshot{}, frame.lifetime);
-  }
+void Server::add_stats_extras(Extras* extra) {
   std::size_t queued = 0;
   {
     const std::lock_guard<std::mutex> lock(queue_mu_);
     queued = queue_.size();
   }
-  frame.extra.emplace_back("workers", std::to_string(config_.workers));
-  frame.extra.emplace_back("queue_depth", std::to_string(config_.queue_depth));
-  frame.extra.emplace_back("queued_now", std::to_string(queued));
-  frame.extra.emplace_back("responses", std::to_string(responses()));
-  frame.extra.emplace_back("cache_size", std::to_string(cache_.size()));
-  frame.extra.emplace_back("cache_evictions",
-                           std::to_string(cache_.evictions()));
+  extra->emplace_back("workers", std::to_string(config_.workers));
+  extra->emplace_back("queue_depth", std::to_string(config_.queue_depth));
+  extra->emplace_back("queued_now", std::to_string(queued));
+  extra->emplace_back("responses", std::to_string(responses()));
+  extra->emplace_back("cache_size", std::to_string(cache_.size()));
+  extra->emplace_back("cache_evictions", std::to_string(cache_.evictions()));
   if (const store::SegmentStore* disk = cache_.disk()) {
     const store::StoreStats ds = disk->stats();
-    frame.extra.emplace_back("disk_segments", std::to_string(ds.segments));
-    frame.extra.emplace_back("disk_records", std::to_string(ds.live_records));
-    frame.extra.emplace_back("disk_bytes", std::to_string(ds.bytes));
+    extra->emplace_back("disk_segments", std::to_string(ds.segments));
+    extra->emplace_back("disk_records", std::to_string(ds.live_records));
+    extra->emplace_back("disk_bytes", std::to_string(ds.bytes));
   }
-  frame.extra.emplace_back(
+  extra->emplace_back(
       "degraded",
       now_ns() < degraded_until_ns_.load(std::memory_order_relaxed) ? "1"
                                                                     : "0");
-  std::ostringstream out;
-  if (format == "prometheus") {
-    obs::write_prometheus(out, frame);
-  } else {
-    io::write_json_stats(out, frame);
-  }
-  return out.str();
 }
 
 void Server::enter_degraded() {
@@ -702,7 +331,7 @@ bool Server::prepare_task(Task& task) {
   // Past the shutdown drain deadline the backlog is answered, not
   // solved: every waiter gets a typed shed so in-flight loss is zero
   // and exit time stays bounded.
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (host_.stopping()) {
     const std::int64_t drain_by =
         drain_deadline_ns_.load(std::memory_order_relaxed);
     if (drain_by != 0 && now_ns() > drain_by) {
@@ -809,8 +438,7 @@ void Server::process_batch(std::vector<Task>& batch) {
         const auto& waiters = batch[solvable[k]].inflight->waiters;
         if (!waiters.empty()) trace_id = waiters[0].trace.id;
       }
-      log_fault_fired(fault, "compute", trace_id, 0);
-      note_flight_trigger();
+      host_.note_fault(fault, "compute", trace_id, 0);
     }
     if (fault.delay_ms > 0.0) sleep_ms(fault.delay_ms);
     if (config_.delay_ms > 0.0) sleep_ms(config_.delay_ms);
@@ -833,46 +461,9 @@ void Server::process_batch(std::vector<Task>& batch) {
 
 void Server::respond(const Waiter& waiter, Status status, std::uint32_t flags,
                      std::string_view payload) {
-  QBSS_HIST("svc.latency_us", elapsed_us(waiter.admitted));
-  responses_.fetch_add(1, std::memory_order_relaxed);
-  FrameHeader header;
-  header.status = status;
-  header.flags = flags;
-  header.request_id = waiter.request_id;
-  header.trace_id = waiter.trace.id;
-  std::string error;
-  const faults::Action fault = QBSS_FAULT(faults::Site::kWrite);
-  log_fault_fired(fault, "write", waiter.trace.id, waiter.conn->id);
-  if (fault.any()) note_flight_trigger();
-  if (fault.delay_ms > 0.0) sleep_ms(fault.delay_ms);
-  QBSS_LOG_DEBUG("req.write", waiter.trace.id, A("conn", waiter.conn->id),
-                 A("req", waiter.request_id),
-                 A("status", status_name(status)),
-                 A("latency_us", elapsed_us(waiter.admitted)));
-  const std::lock_guard<std::mutex> lock(waiter.conn->write_mu);
-  if (fault.corrupt_header) {
-    // Injected corruption: the frame goes out with a flipped magic
-    // byte, so the client's decode must reject it and retry.
-    static_cast<void>(
-        write_corrupt_frame(waiter.conn->fd, header, payload, &error));
-    return;
-  }
-  if (fault.drop_connection) {
-    // Injected write error: the response vanishes with the connection.
-    ::shutdown(waiter.conn->fd, SHUT_RDWR);
-    return;
-  }
-  // A vanished client is not a server failure; the write error is
-  // deliberately dropped (EPIPE after shutdown is the normal case) —
-  // but a peer that stopped draining responses is disconnected so it
-  // cannot wedge later responses behind its full socket buffer.
-  bool timed_out = false;
   const std::uint64_t write_start = waiter.trace.sampled ? obs::now_ns() : 0;
-  if (!write_frame(waiter.conn->fd, header, payload, &error, &timed_out) &&
-      timed_out) {
-    QBSS_COUNT("svc.timeout.write");
-    ::shutdown(waiter.conn->fd, SHUT_RDWR);
-  }
+  host_.respond(*waiter.conn, waiter.request_id, waiter.trace.id, status,
+                flags, payload, elapsed_us(waiter.admitted));
   if (waiter.trace.sampled) {
     // The whole sampled span chain leaves here, once the response is on
     // the wire, so a request whose connection died mid-flight never
@@ -892,35 +483,29 @@ void Server::respond(const Waiter& waiter, Status status, std::uint32_t flags,
   }
 }
 
-void Server::write_manifest() {
-  obs::Manifest manifest = obs::current_manifest();
-  manifest.threads = config_.workers;
-  manifest.extra.emplace_back("command", "serve");
-  manifest.extra.emplace_back("workers", std::to_string(config_.workers));
-  manifest.extra.emplace_back("queue_depth",
-                              std::to_string(config_.queue_depth));
-  manifest.extra.emplace_back("cache_entries",
-                              std::to_string(config_.cache_entries));
-  manifest.extra.emplace_back("cache_shards",
-                              std::to_string(config_.cache_shards));
-  manifest.extra.emplace_back("batch", std::to_string(config_.batch));
-  manifest.extra.emplace_back("responses", std::to_string(responses()));
-  manifest.extra.emplace_back("cache_size", std::to_string(cache_.size()));
-  manifest.extra.emplace_back("cache_evictions",
-                              std::to_string(cache_.evictions()));
+void Server::add_manifest_extras(obs::Manifest* manifest) {
+  manifest->threads = config_.workers;
+  manifest->extra.emplace_back("command", "serve");
+  manifest->extra.emplace_back("workers", std::to_string(config_.workers));
+  manifest->extra.emplace_back("queue_depth",
+                               std::to_string(config_.queue_depth));
+  manifest->extra.emplace_back("cache_entries",
+                               std::to_string(config_.cache_entries));
+  manifest->extra.emplace_back("cache_shards",
+                               std::to_string(config_.cache_shards));
+  manifest->extra.emplace_back("batch", std::to_string(config_.batch));
+  manifest->extra.emplace_back("responses", std::to_string(responses()));
+  manifest->extra.emplace_back("cache_size", std::to_string(cache_.size()));
+  manifest->extra.emplace_back("cache_evictions",
+                               std::to_string(cache_.evictions()));
   if (const store::SegmentStore* disk = cache_.disk()) {
     const store::StoreStats ds = disk->stats();
-    manifest.extra.emplace_back("cache_dir", config_.cache_dir);
-    manifest.extra.emplace_back("disk_segments", std::to_string(ds.segments));
-    manifest.extra.emplace_back("disk_records",
-                                std::to_string(ds.live_records));
-    manifest.extra.emplace_back("disk_bytes", std::to_string(ds.bytes));
-  }
-  for (const auto& [key, value] : config_.manifest_extra) {
-    manifest.extra.emplace_back(key, value);
-  }
-  if (std::ofstream out(config_.manifest_path); out) {
-    io::write_json_manifest(out, manifest);
+    manifest->extra.emplace_back("cache_dir", config_.cache_dir);
+    manifest->extra.emplace_back("disk_segments",
+                                 std::to_string(ds.segments));
+    manifest->extra.emplace_back("disk_records",
+                                 std::to_string(ds.live_records));
+    manifest->extra.emplace_back("disk_bytes", std::to_string(ds.bytes));
   }
 }
 

@@ -2,8 +2,10 @@
 //
 // Architecture (docs/SERVICE.md has the full story):
 //
-//   accept loop ──> one reader thread per connection
-//                     │ parse frame, check result cache (hit → respond)
+//   ConnectionHost (svc/host.hpp): listeners, accept loop, one reader
+//                     │ thread per connection, request parsing,
+//                     │ ping/stats/shutdown, stats ring, epilogue
+//   Server::on_solve ─┤ check result cache (hit → respond)
 //                     │ coalesce onto an identical in-flight request, or
 //                     │ admit into the bounded queue (full → shed)
 //   worker pool <─────┘ drain up to `batch` tasks per wakeup, drop
@@ -29,19 +31,18 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "obs/snapshot.hpp"
 #include "svc/cache.hpp"
+#include "svc/host.hpp"
 #include "svc/protocol.hpp"
 
 namespace qbss::svc {
 
-/// Everything a Server needs to know at start().
-struct ServerConfig {
-  std::string socket_path;  ///< Unix-domain socket path ("" = no UDS)
-  int tcp_port = 0;         ///< 127.0.0.1 TCP listener (0 = off)
+/// Everything a Server needs to know at start(). The endpoints,
+/// client-facing timeouts, stats ring and epilogue paths are the host's
+/// (HostConfig).
+struct ServerConfig : HostConfig {
   std::size_t workers = 2;
   std::size_t queue_depth = 64;   ///< admission queue bound (>= 1)
   std::size_t cache_entries = 1024;
@@ -57,13 +58,6 @@ struct ServerConfig {
   double cache_sync_interval_ms = 100.0;  ///< "interval" mode cadence
   std::size_t batch = 4;     ///< max tasks drained per worker wakeup
   double delay_ms = 0.0;     ///< artificial per-solve delay (soak knob)
-  /// Per-connection recv timeout (slowloris defense): a peer that stalls
-  /// mid-frame — or sits idle — longer than this is disconnected.
-  /// 0 = never.
-  double read_timeout_ms = 30000.0;
-  /// Per-connection send timeout: a peer that stops draining responses
-  /// is disconnected instead of wedging a worker. 0 = never.
-  double write_timeout_ms = 10000.0;
   /// Shutdown drain budget: backlog still queued past this deadline is
   /// answered with `shed` instead of solved, bounding exit time. 0 =
   /// drain everything no matter how long it takes.
@@ -71,45 +65,28 @@ struct ServerConfig {
   /// Overload degradation window: after a queue-full shed, cache misses
   /// are fast-shed (cache hits still served) for this long. 0 = off.
   double degraded_window_ms = 0.0;
-  /// Cadence of the periodic registry snapshots backing the stats
-  /// verb's "recent window" block. 0 = no ring; a stats reply then
-  /// reports lifetime-average rates instead of recent ones.
-  double stats_interval_ms = 1000.0;
-  /// Snapshots retained in the ring: the window spans up to
-  /// stats_ring * stats_interval_ms of recent history.
-  std::size_t stats_ring = 8;
   /// Wire-trace sampling: requests whose client-stamped trace id is
   /// nonzero and divisible by this get a per-request span chain in the
   /// Chrome trace (ids are uniform, so ~1/N of traffic). 1 = every
   /// request, 0 = never. No effect unless tracing is enabled.
   std::uint64_t trace_sample = 16;
-  std::string manifest_path; ///< manifest epilogue at shutdown ("" = none)
-  /// Flight-recorder dump destination. When set, the server dumps the
-  /// merged event rings here whenever a fault-injection clause trips or
-  /// a connection dies abnormally (rate-limited), and once more at
-  /// shutdown if any such trigger was seen. "" disables automatic
-  /// dumps (the crash handler, if installed, still writes one).
-  std::string flight_path;
-  /// Extra manifest key/values (the CLI records its flags here).
-  std::vector<std::pair<std::string, std::string>> manifest_extra;
-  /// Optional externally-owned stop flag (signal handlers set it; the
-  /// accept loop polls it every ~100 ms and initiates shutdown).
-  const std::atomic<bool>* external_stop = nullptr;
 };
 
-/// The resident scheduling service. Lifecycle: construct, start(),
-/// wait() from a thread that is NOT one of the server's own (wait joins
-/// them). shutdown() is idempotent and callable from any thread,
-/// including reader threads (a client `shutdown` frame triggers it).
-class Server {
+/// The resident scheduling service: the request handler behind a
+/// ConnectionHost. Lifecycle: construct, start(), wait() from a thread
+/// that is NOT one of the server's own (wait joins them). shutdown() is
+/// idempotent and callable from any thread, including reader threads (a
+/// client `shutdown` frame triggers it).
+class Server : private ConnectionHost::Handler {
  public:
   explicit Server(ServerConfig config);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds and listens on the configured endpoints, then spawns the
-  /// accept loop and worker pool. False + *error on any setup failure.
+  /// Opens the disk tier, binds and listens on the configured endpoints,
+  /// then spawns the accept loop and worker pool. False + *error on any
+  /// setup failure.
   [[nodiscard]] bool start(std::string* error);
 
   /// Blocks until shutdown is initiated, then joins every thread,
@@ -122,35 +99,10 @@ class Server {
 
   /// Requests served so far (responses of any status).
   [[nodiscard]] std::uint64_t responses() const noexcept {
-    return responses_.load(std::memory_order_relaxed);
+    return host_.responses();
   }
 
-  /// Dumps the merged event rings to the configured flight path (the
-  /// explicit hook behind the automatic fault/abnormal-close triggers).
-  /// No-op unless `flight_path` is set.
-  void dump_flight_recorder();
-
  private:
-  /// One client connection. The fd closes when the last reference
-  /// drops (readers and pending waiters share ownership), so responses
-  /// racing a disconnect write to a valid-but-dead socket, never to a
-  /// reused descriptor.
-  struct Connection {
-    explicit Connection(int fd_in, std::uint64_t id_in)
-        : fd(fd_in), id(id_in) {
-      read_buf.reserve(4096);
-    }
-    ~Connection();
-    int fd;
-    std::uint64_t id;  ///< dense accept-order id (log correlation)
-    std::mutex write_mu;  ///< one response frame leaves at a time
-    /// Reader-owned frame payload buffer, preallocated and reused across
-    /// every request on this connection (read_frame assigns in place, so
-    /// steady-state reads never allocate). Responses need no twin: the
-    /// scatter/gather write path sends straight from the response bytes.
-    std::string read_buf;
-  };
-
   /// Per-request wire-trace state: the client-stamped id (echoed in
   /// every response header) plus, when this request was sampled, the
   /// stage timestamps the span chain is cut from.
@@ -187,18 +139,17 @@ class Server {
     std::shared_ptr<Inflight> inflight;
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
+  // ConnectionHost::Handler.
+  void on_solve(const std::shared_ptr<Connection>& conn,
+                const FrameHeader& frame, Request&& request,
+                const std::string& payload,
+                std::chrono::steady_clock::time_point received) override;
+  void on_shutdown() override;
+  void on_drain() override;
+  void add_stats_extras(Extras* extra) override;
+  void add_manifest_extras(obs::Manifest* manifest) override;
+
   void worker_loop();
-  /// Periodically pushes registry captures into the snapshot ring.
-  void stats_loop();
-  void handle_request(const std::shared_ptr<Connection>& conn,
-                      const FrameHeader& frame, const std::string& payload);
-  /// Renders one stats reply ("json" or "prometheus"): a fresh capture
-  /// as the lifetime block, delta'd against the oldest ring snapshot as
-  /// the window block. Runs on the reader thread — introspection works
-  /// even when the admission queue is full.
-  [[nodiscard]] std::string build_stats_payload(const std::string& format);
   /// Drains one admission batch: shed bookkeeping per task, then a
   /// single solve_request_batch call over the survivors, then publish
   /// and respond per task.
@@ -214,46 +165,19 @@ class Server {
   void respond(const Waiter& waiter, Status status, std::uint32_t flags,
                std::string_view payload);
   void enter_degraded();
-  void write_manifest();
-  /// Records that something flight-worthy happened (fault fired,
-  /// abnormal connection death) and dumps the rings, rate-limited; a
-  /// final dump happens at shutdown. No-op unless flight_path is set.
-  void note_flight_trigger();
   /// Logs the `server.start` event carrying the effective config.
   void log_server_start();
 
   ServerConfig config_;
   ResultCache cache_;
 
-  std::vector<int> listen_fds_;
-
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> responses_{0};
-  std::atomic<std::uint64_t> next_conn_id_{0};
-  /// A flight trigger fired since start (final dump owed at shutdown).
-  std::atomic<bool> flight_pending_{false};
-  /// obs::now_ns() of the last automatic flight dump (rate limiting).
-  std::atomic<std::uint64_t> last_flight_dump_ns_{0};
   /// steady_clock ns until which the degradation window is active (0 =
   /// never entered; steady_clock never reads negative here).
   std::atomic<std::int64_t> degraded_until_ns_{0};
   /// steady_clock ns deadline for the shutdown drain (0 = unbounded).
   std::atomic<std::int64_t> drain_deadline_ns_{0};
 
-  std::thread accept_thread_;
-  std::thread stats_thread_;
   std::vector<std::thread> workers_;
-
-  /// Snapshot ring: stats_loop appends, stats replies delta against the
-  /// front. Guarded by its own mutex (capture happens outside it).
-  std::mutex ring_mu_;
-  std::deque<obs::Snapshot> ring_;
-  std::mutex stats_mu_;  ///< pairs with stats_cv_ for interruptible sleep
-  std::condition_variable stats_cv_;
-
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> readers_;  ///< appended only by the accept loop
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -261,6 +185,10 @@ class Server {
 
   std::mutex inflight_mu_;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
+
+  /// Declared last: destroyed first, after Server::~Server has joined
+  /// every thread that calls back into the members above.
+  ConnectionHost host_{config_, "svc", *this};
 };
 
 }  // namespace qbss::svc

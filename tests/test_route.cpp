@@ -4,18 +4,24 @@
 // end-to-end fleet — two real servers behind an in-process Router —
 // covering byte-identity with a direct backend call, trace-id echo,
 // per-backend stats, hot-key replication, breaker failover when a
-// backend dies, and the no-backend shed path.
+// backend dies, the no-backend shed path, disk-hit flags relayed after a
+// backend restart, the server's malformed-frame and idle-peer cases
+// against the router, and reader threads joined once their connections
+// close (for both roles).
 #include "route/health.hpp"
 #include "route/ring.hpp"
 #include "route/router.hpp"
 #include "route/topology.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
 #include <sstream>
@@ -24,6 +30,7 @@
 #include <vector>
 
 #include "gen/random_instances.hpp"
+#include "raw_wire.hpp"
 #include "svc/client.hpp"
 #include "svc/endpoint.hpp"
 #include "svc/protocol.hpp"
@@ -303,30 +310,54 @@ struct Fleet {
   std::string b1_path = socket_path("b1");
   std::string b2_path = socket_path("b2");
   std::string router_path = socket_path("r");
+  svc::ServerConfig b1_config;
+  svc::ServerConfig b2_config;
   std::unique_ptr<svc::Server> b1;
   std::unique_ptr<svc::Server> b2;
   std::unique_ptr<Router> router;
 
-  explicit Fleet(RouterConfig config = {}) {
-    svc::ServerConfig backend;
-    backend.workers = 2;
-    backend.socket_path = b1_path;
-    b1 = std::make_unique<svc::Server>(backend);
-    backend.socket_path = b2_path;
-    b2 = std::make_unique<svc::Server>(backend);
-    std::string error;
-    if (!b1->start(&error) || !b2->start(&error)) {
-      ADD_FAILURE() << "backend start: " << error;
-      return;
+  /// With a `cache_root`, each backend keeps a disk tier in its own
+  /// subdirectory behind a two-entry memory cache.
+  explicit Fleet(RouterConfig config = {}, const std::string& cache_root = "") {
+    b1_config.workers = 2;
+    b1_config.socket_path = b1_path;
+    b2_config = b1_config;
+    b2_config.socket_path = b2_path;
+    if (!cache_root.empty()) {
+      b1_config.cache_entries = b2_config.cache_entries = 2;
+      b1_config.cache_dir = cache_root + "/b1";
+      b2_config.cache_dir = cache_root + "/b2";
     }
+    if (!start_backends()) return;
     config.socket_path = router_path;
     config.topology.backends.push_back(
         BackendSpec{"b1", svc::Endpoint{b1_path, "", 0}, 1.0});
     config.topology.backends.push_back(
         BackendSpec{"b2", svc::Endpoint{b2_path, "", 0}, 1.0});
     router = std::make_unique<Router>(std::move(config));
+    std::string error;
     if (!router->start(&error)) {
       ADD_FAILURE() << "router start: " << error;
+    }
+  }
+
+  bool start_backends() {
+    b1 = std::make_unique<svc::Server>(b1_config);
+    b2 = std::make_unique<svc::Server>(b2_config);
+    std::string error;
+    if (!b1->start(&error) || !b2->start(&error)) {
+      ADD_FAILURE() << "backend start: " << error;
+      return false;
+    }
+    return true;
+  }
+
+  void stop_backends() {
+    for (svc::Server* server : {b1.get(), b2.get()}) {
+      if (server != nullptr) {
+        server->shutdown();
+        server->wait();
+      }
     }
   }
 
@@ -335,12 +366,7 @@ struct Fleet {
       router->shutdown();
       router->wait();
     }
-    for (svc::Server* server : {b1.get(), b2.get()}) {
-      if (server != nullptr) {
-        server->shutdown();
-        server->wait();
-      }
-    }
+    stop_backends();
     for (const std::string& path : {b1_path, b2_path, router_path}) {
       std::remove(path.c_str());
     }
@@ -515,6 +541,145 @@ TEST(Router, FailsOverWhenABackendDiesAndShedsWhenAllDo) {
   EXPECT_EQ(shed.status, svc::Status::kShed);
   EXPECT_NE(shed.payload.find("no_backend"), std::string::npos)
       << shed.payload;
+}
+
+TEST(Router, RelaysDiskHitsByteIdenticallyAfterBackendRestart) {
+  const std::string root =
+      "/tmp/qbss-route-" + std::to_string(::getpid()) + "-disk";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  RouterConfig config = fast_config();
+  config.hot_threshold = 0;        // no replication pushes
+  config.health_interval_ms = 0;   // no probe can trip a breaker mid-restart
+  config.backend_retries = 2;      // pooled connections to the old
+                                   // processes reconnect transparently
+  {
+    Fleet fleet(std::move(config), root);
+    ASSERT_TRUE(fleet.router);
+    svc::Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect_unix(fleet.router_path, &error)) << error;
+
+    // Populate more keys than either memory cache holds.
+    constexpr int kKeys = 6;
+    std::vector<std::string> first(kKeys);
+    for (int k = 0; k < kKeys; ++k) {
+      svc::Client::Reply reply;
+      ASSERT_TRUE(client.call(solve_request(100 + k), &reply, &error))
+          << error;
+      ASSERT_EQ(reply.status, svc::Status::kOk) << reply.payload;
+      EXPECT_FALSE(reply.cache_hit);
+      first[static_cast<std::size_t>(k)] = reply.payload;
+    }
+
+    // Restarted backends start with empty memory caches, so every key
+    // now comes off disk — and the router must say so.
+    fleet.stop_backends();
+    ASSERT_TRUE(fleet.start_backends());
+    for (int k = 0; k < kKeys; ++k) {
+      svc::Client::Reply reply;
+      ASSERT_TRUE(client.call(solve_request(100 + k), &reply, &error))
+          << error;
+      ASSERT_EQ(reply.status, svc::Status::kOk) << reply.payload;
+      EXPECT_TRUE(reply.cache_hit) << "key " << k;
+      EXPECT_TRUE(reply.disk_hit) << "key " << k;
+      EXPECT_EQ(reply.payload, first[static_cast<std::size_t>(k)])
+          << "key " << k;
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+// The server's wire-robustness cases (test_svc's Server.BadMagic...,
+// VersionMismatch..., OverLimitPayloadLength..., TruncatedHeader... and
+// IdleConnection...) against the router's client-facing side.
+TEST(Router, MalformedFramesAndIdlePeersGetTheServersTreatment) {
+  RouterConfig config = fast_config();
+  config.read_timeout_ms = 100.0;
+  Fleet fleet(std::move(config));
+  ASSERT_TRUE(fleet.router);
+  const std::string& path = fleet.router_path;
+
+  const auto rejects = [&path](const char* what, auto corrupt,
+                               const char* message) {
+    svc::FrameHeader header;
+    unsigned char wire[svc::kHeaderSize];
+    svc::encode_header(header, wire);
+    corrupt(wire);
+    svc::FrameHeader reply;
+    std::string payload;
+    ASSERT_EQ(svc::roundtrip_raw(path, wire, "", &reply, &payload),
+              svc::ReadResult::kFrame)
+        << what << ": a malformed header must be answered";
+    EXPECT_EQ(reply.status, svc::Status::kError) << what;
+    EXPECT_NE(payload.find(message), std::string::npos)
+        << what << ": " << payload;
+  };
+  rejects("bad magic", [](unsigned char* wire) { wire[0] ^= 0xff; },
+          "bad frame magic");
+  rejects("old version", [](unsigned char* wire) { wire[3] = 0x31; },
+          "version mismatch");
+  rejects("over-limit length",
+          [](unsigned char* wire) {
+            // payload_len lives at bytes 12..15, little-endian.
+            const std::uint32_t huge = svc::kMaxPayload + 1;
+            for (int i = 0; i < 4; ++i) {
+              wire[12 + i] = static_cast<unsigned char>(huge >> (8 * i));
+            }
+          },
+          "payload");
+
+  // A torn header cannot be answered (there is no request id to echo):
+  // the router just closes.
+  const int torn = svc::raw_connect(path);
+  ASSERT_GE(torn, 0);
+  const unsigned char partial[10] = {0x51, 0x53, 0x53, 0x32};
+  ASSERT_TRUE(svc::send_raw(torn, partial, sizeof partial));
+  ::shutdown(torn, SHUT_WR);
+  svc::FrameHeader reply;
+  std::string payload;
+  std::string error;
+  EXPECT_EQ(svc::read_frame(torn, &reply, &payload, &error),
+            svc::ReadResult::kEof);
+  ::close(torn);
+
+  // An idle peer is dropped after the read timeout (5 s is a backstop).
+  const int idle = svc::raw_connect(path);
+  ASSERT_GE(idle, 0);
+  svc::set_socket_timeouts(idle, 5000.0, 0.0);
+  const svc::ReadResult rc = svc::read_frame(idle, &reply, &payload, &error);
+  EXPECT_TRUE(rc == svc::ReadResult::kEof || rc == svc::ReadResult::kError)
+      << "the router must drop an idle connection";
+  ::close(idle);
+
+  // And the listener survived all of it.
+  svc::Client client;
+  ASSERT_TRUE(client.connect_unix(path, &error)) << error;
+  ASSERT_TRUE(client.ping(&error)) << error;
+}
+
+/// Lines in /proc/self/maps: every unjoined exited thread keeps its
+/// stack (and guard page) mapped.
+long mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  long lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(ConnectionHost, JoinsReaderThreadsOfClosedConnections) {
+  Fleet fleet(fast_config());
+  ASSERT_TRUE(fleet.router);
+  for (const std::string& path : {fleet.b1_path, fleet.router_path}) {
+    std::string error;
+    const long before = mapped_regions();
+    for (int i = 0; i < 3000; ++i) {
+      svc::Client client;
+      ASSERT_TRUE(client.connect_unix(path, &error)) << error;
+      ASSERT_TRUE(client.ping(&error)) << error;
+    }
+    EXPECT_LT(mapped_regions() - before, 300) << path;
+  }
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "qbss/bkpq.hpp"
+#include "raw_wire.hpp"
 #include "scheduling/schedule.hpp"
 
 namespace qbss::svc {
@@ -240,6 +241,43 @@ TEST(Protocol, SolveRejectsUnknownAlgoAndEmptyInstance) {
   request.algo = "bkpq";
   request.instance = core::QInstance{};
   EXPECT_FALSE(solve_request(request, &payload, &error));
+
+  // The offline policies outside their instance classes: a typed error,
+  // never the policy's own contract abort (which would kill the server).
+  const auto instance = [](std::vector<std::pair<double, double>> windows) {
+    core::QInstance inst;
+    for (const auto& [release, deadline] : windows) {
+      inst.add(release, deadline, 0.5, 2.0, 1.0);
+    }
+    return inst;
+  };
+  const struct {
+    const char* algo;
+    core::QInstance instance;
+    const char* missing;  ///< "" = in the domain, must solve
+  } cases[] = {
+      {"crcd", instance({{0.0, 4.0}, {1.0, 4.0}}), "common release"},
+      {"crp2d", instance({{0.0, 4.0}, {1.0, 8.0}}), "common release"},
+      {"crad", instance({{0.0, 4.0}, {1.0, 8.0}}), "common release"},
+      {"crcd", instance({{0.0, 4.0}, {0.0, 8.0}}), "common deadline"},
+      {"crp2d", instance({{0.0, 4.0}, {0.0, 6.0}}), "power-of-two"},
+      {"crcd", instance({{0.0, 4.0}, {0.0, 4.0}}), ""},
+      {"crp2d", instance({{0.0, 4.0}, {0.0, 8.0}}), ""},
+      {"crad", instance({{0.0, 3.0}, {0.0, 6.0}}), ""},
+  };
+  for (const auto& c : cases) {
+    request.algo = c.algo;
+    request.instance = c.instance;
+    error.clear();
+    const bool solved = solve_request(request, &payload, &error);
+    if (*c.missing == '\0') {
+      EXPECT_TRUE(solved) << c.algo << ": " << error;
+    } else {
+      EXPECT_FALSE(solved) << c.algo;
+      EXPECT_NE(error.find(c.missing), std::string::npos)
+          << c.algo << ": " << error;
+    }
+  }
 }
 
 TEST(Cache, LruEvictsOldestAndRefreshesOnGet) {
@@ -554,58 +592,6 @@ TEST(Server, CoalescesIdenticalInflightRequests) {
       EXPECT_EQ(payloads[static_cast<std::size_t>(c)], payloads[0]);
     }
   });
-}
-
-/// Connects a raw (unframed) Unix-domain socket to `path`, for tests
-/// that need to put malformed bytes on the wire.
-int raw_connect(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_raw(int fd, const unsigned char* data, std::size_t len) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n =
-        ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Sends `wire` (a 24-byte header image) followed by `payload`, then
-/// half-closes so the server never waits on more bytes from us, and
-/// returns what came back.
-ReadResult roundtrip_raw(const std::string& path,
-                         const unsigned char wire[kHeaderSize],
-                         const std::string& payload, FrameHeader* reply,
-                         std::string* reply_payload) {
-  const int fd = raw_connect(path);
-  EXPECT_GE(fd, 0);
-  if (fd < 0) return ReadResult::kError;
-  EXPECT_TRUE(send_raw(fd, wire, kHeaderSize));
-  if (!payload.empty()) {
-    // A server that already rejected the header may close (RST) while
-    // we are still writing the body; that is a legal outcome, not a
-    // test failure.
-    send_raw(fd, reinterpret_cast<const unsigned char*>(payload.data()),
-             payload.size());
-  }
-  ::shutdown(fd, SHUT_WR);
-  std::string error;
-  const ReadResult rc = read_frame(fd, reply, reply_payload, &error);
-  ::close(fd);
-  return rc;
 }
 
 TEST(Server, BadMagicGetsTypedErrorReplyThenClose) {

@@ -436,15 +436,85 @@ int cmd_bounds(const Options& opts) {
   return 0;
 }
 
-/// SIGINT/SIGTERM set this; the server's accept loop polls it.
+/// SIGINT/SIGTERM set this; the host's accept loop polls it.
 std::atomic<bool> g_stop_requested{false};
 
 void handle_stop_signal(int) { g_stop_requested.store(true); }
 
+/// The flags and process set-up `serve` and `route` share: endpoints,
+/// client-facing timeouts, the stats ring, the manifest and flight
+/// paths, the crash handler, the fault plan (--faults wins over
+/// QBSS_FAULTS) and the stop signals. `tag` names the log prefix and the
+/// default manifest (BENCH_<tag>.json). 0, or the exit code for a bad
+/// command line.
+int setup_host(const Options& opts, const char* command, const char* tag,
+               svc::HostConfig* cfg) {
+  cfg->socket_path = opts.get("socket", "");
+  cfg->tcp_port = static_cast<int>(opts.number("tcp", 0));
+  if (cfg->socket_path.empty() && cfg->tcp_port == 0) {
+    std::fprintf(stderr, "%s needs --socket PATH and/or --tcp PORT\n",
+                 command);
+    return 2;
+  }
+  cfg->read_timeout_ms = opts.number("read-timeout-ms", 30000.0);
+  cfg->write_timeout_ms = opts.number("write-timeout-ms", 10000.0);
+  cfg->stats_interval_ms = opts.number("stats-interval-ms", 1000.0);
+  cfg->stats_ring = static_cast<std::size_t>(opts.number("stats-ring", 8));
+  cfg->manifest_path =
+      opts.get("manifest", std::string("BENCH_") + tag + ".json");
+  cfg->flight_path = opts.get("flight", "");
+  cfg->external_stop = &g_stop_requested;
+
+  // The crash handler dumps the flight recorder before re-raising; point
+  // it at the same file the host's automatic triggers use so a crash
+  // and a fault trip tell one story.
+  if (!cfg->flight_path.empty()) obs::set_flight_path(cfg->flight_path);
+  obs::install_crash_handler();
+
+  std::string fault_plan = opts.get("faults", "");
+  if (fault_plan.empty()) {
+    if (const char* env = std::getenv("QBSS_FAULTS")) fault_plan = env;
+  }
+  if (!fault_plan.empty()) {
+#ifdef QBSS_FAULTS_OFF
+    std::fprintf(stderr,
+                 "%s: fault plan \"%s\" requested but this binary was "
+                 "built with -DQBSS_FAULTS=OFF\n",
+                 command, fault_plan.c_str());
+    return 2;
+#else
+    faults::FaultPlan plan;
+    std::string plan_error;
+    if (!faults::parse_plan(fault_plan, &plan, &plan_error)) {
+      std::fprintf(stderr, "%s: bad fault plan: %s\n", command,
+                   plan_error.c_str());
+      return 2;
+    }
+    faults::injector().configure(plan);
+    cfg->manifest_extra.emplace_back("fault_plan", fault_plan);
+    std::fprintf(stderr, "[%s] fault injection active: %s\n", tag,
+                 fault_plan.c_str());
+#endif
+  }
+
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
+  return 0;
+}
+
+void print_listening(const char* tag, const svc::HostConfig& cfg) {
+  if (!cfg.socket_path.empty()) {
+    std::fprintf(stderr, "[%s] listening on %s\n", tag,
+                 cfg.socket_path.c_str());
+  }
+  if (cfg.tcp_port != 0) {
+    std::fprintf(stderr, "[%s] listening on 127.0.0.1:%d\n", tag,
+                 cfg.tcp_port);
+  }
+}
+
 int cmd_serve(const Options& opts) {
   svc::ServerConfig cfg;
-  cfg.socket_path = opts.get("socket", "");
-  cfg.tcp_port = static_cast<int>(opts.number("tcp", 0));
   cfg.workers = static_cast<std::size_t>(opts.number("workers", 2));
   cfg.queue_depth = static_cast<std::size_t>(opts.number("queue-depth", 64));
   cfg.cache_entries = static_cast<std::size_t>(opts.number("cache", 1024));
@@ -455,57 +525,13 @@ int cmd_serve(const Options& opts) {
   cfg.cache_sync_interval_ms = opts.number("sync-interval-ms", 100.0);
   cfg.batch = static_cast<std::size_t>(opts.number("batch", 4));
   cfg.delay_ms = opts.number("delay-ms", 0.0);
-  cfg.read_timeout_ms = opts.number("read-timeout-ms", 30000.0);
-  cfg.write_timeout_ms = opts.number("write-timeout-ms", 10000.0);
   cfg.drain_ms = opts.number("drain-ms", 2000.0);
   cfg.degraded_window_ms = opts.number("degraded-ms", 0.0);
-  cfg.stats_interval_ms = opts.number("stats-interval-ms", 1000.0);
-  cfg.stats_ring = static_cast<std::size_t>(opts.number("stats-ring", 8));
   cfg.trace_sample =
       static_cast<std::uint64_t>(opts.number("trace-sample", 16));
-  cfg.manifest_path = opts.get("manifest", "BENCH_svc.json");
-  cfg.flight_path = opts.get("flight", "");
-  cfg.external_stop = &g_stop_requested;
-  if (cfg.socket_path.empty() && cfg.tcp_port == 0) {
-    std::fprintf(stderr, "serve needs --socket PATH and/or --tcp PORT\n");
-    return 2;
+  if (const int rc = setup_host(opts, "serve", "svc", &cfg); rc != 0) {
+    return rc;
   }
-
-  // The crash handler dumps the flight recorder before re-raising; point
-  // it at the same file the server's automatic triggers use so a crash
-  // and a fault trip tell one story.
-  if (!cfg.flight_path.empty()) obs::set_flight_path(cfg.flight_path);
-  obs::install_crash_handler();
-
-  // Fault plan: --faults wins over the QBSS_FAULTS environment variable.
-  std::string fault_plan = opts.get("faults", "");
-  if (fault_plan.empty()) {
-    if (const char* env = std::getenv("QBSS_FAULTS")) fault_plan = env;
-  }
-  if (!fault_plan.empty()) {
-#ifdef QBSS_FAULTS_OFF
-    std::fprintf(stderr,
-                 "serve: fault plan \"%s\" requested but this binary was "
-                 "built with -DQBSS_FAULTS=OFF\n",
-                 fault_plan.c_str());
-    return 2;
-#else
-    faults::FaultPlan plan;
-    std::string plan_error;
-    if (!faults::parse_plan(fault_plan, &plan, &plan_error)) {
-      std::fprintf(stderr, "serve: bad fault plan: %s\n",
-                   plan_error.c_str());
-      return 2;
-    }
-    faults::injector().configure(plan);
-    cfg.manifest_extra.emplace_back("fault_plan", fault_plan);
-    std::fprintf(stderr, "[svc] fault injection active: %s\n",
-                 fault_plan.c_str());
-#endif
-  }
-
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
 
   svc::Server server(cfg);
   std::string error;
@@ -513,12 +539,7 @@ int cmd_serve(const Options& opts) {
     std::fprintf(stderr, "serve: %s\n", error.c_str());
     return 1;
   }
-  if (!cfg.socket_path.empty()) {
-    std::fprintf(stderr, "[svc] listening on %s\n", cfg.socket_path.c_str());
-  }
-  if (cfg.tcp_port != 0) {
-    std::fprintf(stderr, "[svc] listening on 127.0.0.1:%d\n", cfg.tcp_port);
-  }
+  print_listening("svc", cfg);
   if (!cfg.cache_dir.empty()) {
     std::fprintf(stderr, "[svc] disk tier %s (budget %.0f MiB, sync %s)\n",
                  cfg.cache_dir.c_str(), cfg.cache_disk_mb,
@@ -620,11 +641,8 @@ int cmd_cache(const Options& opts) {
 
 int cmd_route(const Options& opts) {
   route::RouterConfig cfg;
-  cfg.socket_path = opts.get("socket", "");
-  cfg.tcp_port = static_cast<int>(opts.number("tcp", 0));
-  if (cfg.socket_path.empty() && cfg.tcp_port == 0) {
-    std::fprintf(stderr, "route needs --socket PATH and/or --tcp PORT\n");
-    return 2;
+  if (const int rc = setup_host(opts, "route", "route", &cfg); rc != 0) {
+    return rc;
   }
   const std::string topology_path = opts.get("topology", "");
   if (topology_path.empty()) {
@@ -646,63 +664,16 @@ int cmd_route(const Options& opts) {
   cfg.backend_timeout_ms = opts.number("backend-timeout-ms", 5000.0);
   cfg.backend_retries = static_cast<int>(opts.number("backend-retries", 2));
   cfg.pool_capacity = static_cast<std::size_t>(opts.number("pool", 8));
-  cfg.read_timeout_ms = opts.number("read-timeout-ms", 30000.0);
-  cfg.write_timeout_ms = opts.number("write-timeout-ms", 10000.0);
-  cfg.stats_interval_ms = opts.number("stats-interval-ms", 1000.0);
-  cfg.stats_ring = static_cast<std::size_t>(opts.number("stats-ring", 8));
-  cfg.manifest_path = opts.get("manifest", "BENCH_route.json");
-  cfg.flight_path = opts.get("flight", "");
-  cfg.external_stop = &g_stop_requested;
   cfg.manifest_extra.emplace_back("topology", topology_path);
 
-  if (!cfg.flight_path.empty()) obs::set_flight_path(cfg.flight_path);
-  obs::install_crash_handler();
-
-  std::string fault_plan = opts.get("faults", "");
-  if (fault_plan.empty()) {
-    if (const char* env = std::getenv("QBSS_FAULTS")) fault_plan = env;
-  }
-  if (!fault_plan.empty()) {
-#ifdef QBSS_FAULTS_OFF
-    std::fprintf(stderr,
-                 "route: fault plan \"%s\" requested but this binary was "
-                 "built with -DQBSS_FAULTS=OFF\n",
-                 fault_plan.c_str());
-    return 2;
-#else
-    faults::FaultPlan plan;
-    std::string plan_error;
-    if (!faults::parse_plan(fault_plan, &plan, &plan_error)) {
-      std::fprintf(stderr, "route: bad fault plan: %s\n",
-                   plan_error.c_str());
-      return 2;
-    }
-    faults::injector().configure(plan);
-    cfg.manifest_extra.emplace_back("fault_plan", fault_plan);
-    std::fprintf(stderr, "[route] fault injection active: %s\n",
-                 fault_plan.c_str());
-#endif
-  }
-
-  std::signal(SIGINT, handle_stop_signal);
-  std::signal(SIGTERM, handle_stop_signal);
-
-  const std::string socket_path = cfg.socket_path;
-  const int tcp_port = cfg.tcp_port;
-  const std::size_t fleet = cfg.topology.backends.size();
-  route::Router router(std::move(cfg));
+  route::Router router(cfg);
   if (!router.start(&error)) {
     std::fprintf(stderr, "route: %s\n", error.c_str());
     return 1;
   }
-  if (!socket_path.empty()) {
-    std::fprintf(stderr, "[route] listening on %s\n", socket_path.c_str());
-  }
-  if (tcp_port != 0) {
-    std::fprintf(stderr, "[route] listening on 127.0.0.1:%d\n", tcp_port);
-  }
-  std::fprintf(stderr, "[route] fronting %zu backend(s) from %s\n", fleet,
-               topology_path.c_str());
+  print_listening("route", cfg);
+  std::fprintf(stderr, "[route] fronting %zu backend(s) from %s\n",
+               cfg.topology.backends.size(), topology_path.c_str());
   router.wait();
   std::fprintf(stderr, "[route] shut down after %llu responses\n",
                static_cast<unsigned long long>(router.responses()));
