@@ -23,20 +23,40 @@ std::vector<SlotPlacement> mcnaughton_pack(Interval slot,
   std::vector<SlotPlacement> out;
   out.reserve(demands.size() + 1);
 
+  // The last demand that needs time. Only it may snap to the slot end of
+  // the last machine: a snap there before it would hand a later demand's
+  // sub-tolerance share to this one and leave the later one no machine.
+  std::size_t final_demand = demands.size();
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (demands[i].duration > 0.0) final_demand = i;
+  }
+
   // Absolute cursor: consecutive placements on one machine share the exact
   // same boundary value (no re-derivation from offsets, which would drift
   // by an ulp and create overlapping slivers in the summed profile).
   const double tiny = kEps * std::max(1.0, len);
+  const int last = machines - 1;
   int machine = 0;
   Time pos = slot.begin;
-  for (const SlotDemand& d : demands) {
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    const SlotDemand& d = demands[i];
     const Time need = std::min(d.duration, len);
     if (need <= 0.0) continue;
-    if (slot.end - pos <= tiny) {  // current machine already full
+    if (machine < last && slot.end - pos <= tiny) {  // machine already full
       ++machine;
       pos = slot.begin;
     }
     const Time room = slot.end - pos;
+    if (machine == last) {
+      // Nothing wraps past the last machine: place at the cursor, clipped
+      // to the slot (the precondition bounds what a clip can drop).
+      const Time end = i == final_demand && need >= room - tiny
+                           ? slot.end
+                           : std::min(pos + need, slot.end);
+      if (end > pos) out.push_back({d.job, machine, {pos, end}});
+      pos = end;
+      continue;
+    }
     if (need < room - tiny) {
       // Fits strictly inside the current machine.
       out.push_back({d.job, machine, {pos, pos + need}});

@@ -7,10 +7,7 @@
 
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <limits>
-#include <sstream>
 #include <vector>
 
 #include "io/format.hpp"
@@ -122,37 +119,45 @@ int recv_all(int fd, void* data, std::size_t len, std::string* error) {
   return 1;
 }
 
+/// Hex digits of a double's bit pattern in a cache key.
+constexpr std::size_t kKeyHex = 16;
+
 /// Hex bit pattern of a double, -0.0 normalized to +0.0 — the exact,
 /// canonical number form inside cache keys.
 void append_double_bits(std::string& out, double v) {
   if (v == 0.0) v = 0.0;  // -0.0 == 0.0, assignment canonicalizes
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  out += buf;
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  char hex[kKeyHex];
+  for (std::size_t i = kKeyHex; i-- > 0; bits >>= 4) {
+    hex[i] = "0123456789abcdef"[bits & 0xf];
+  }
+  out.append(hex, kKeyHex);
 }
 
 /// Strips one "key: value" line; false when `line` is not of that shape.
-bool split_field(const std::string& line, std::string* key,
-                 std::string* value) {
+bool split_field(std::string_view line, std::string_view* key,
+                 std::string_view* value) {
   const std::size_t colon = line.find(": ");
-  if (colon == std::string::npos) return false;
+  if (colon == std::string_view::npos) return false;
   *key = line.substr(0, colon);
   *value = line.substr(colon + 2);
   return true;
 }
 
-bool parse_double_field(const std::string& value, double* out) {
-  std::istringstream ss(value);
-  return static_cast<bool>(ss >> *out) && ss.eof();
+/// Appends one `key: value` line.
+void put_field(std::string& out, std::string_view key, std::string_view value) {
+  out += key;
+  out += ": ";
+  out += value;
+  out += '\n';
 }
 
 /// max_digits10 rendering — payload numbers round-trip losslessly.
-std::string lossless(double v) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << v;
-  return out.str();
+void put_number(std::string& out, std::string_view key, double value) {
+  out += key;
+  out += ": ";
+  io::append_number(out, value);
+  out += '\n';
 }
 
 /// The instance classes the offline policies are defined on. Their own
@@ -325,28 +330,25 @@ std::string serialize_request(const Request& request) {
     case Verb::kSolve:
       break;
   }
-  std::ostringstream out;
   // max_digits10 for the whole payload: the instance section must parse
   // back to the exact doubles the client keyed its cache check on.
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "qbss-svc/1 solve\n";
-  out << "algo: " << request.algo << '\n';
-  out << "alpha: " << lossless(request.alpha) << '\n';
-  out << "machines: " << request.machines << '\n';
-  out << "schedule: " << (request.want_schedule ? 1 : 0) << '\n';
+  std::string out = "qbss-svc/1 solve\n";
+  put_field(out, "algo", request.algo);
+  put_number(out, "alpha", request.alpha);
+  put_field(out, "machines", std::to_string(request.machines));
+  put_field(out, "schedule", request.want_schedule ? "1" : "0");
   if (request.deadline_ms > 0.0) {
-    out << "deadline_ms: " << lossless(request.deadline_ms) << '\n';
+    put_number(out, "deadline_ms", request.deadline_ms);
   }
-  out << "instance:\n";
-  io::write_qinstance(out, request.instance);
-  return out.str();
+  out += "instance:\n";
+  io::append_qinstance(out, request.instance);
+  return out;
 }
 
-bool parse_request(const std::string& payload, Request* out,
+bool parse_request(std::string_view payload, Request* out,
                    std::string* error) {
-  std::istringstream in(payload);
-  std::string line;
-  if (!std::getline(in, line)) {
+  std::string_view line;
+  if (!io::next_line(payload, &line)) {
     *error = "empty request";
     return false;
   }
@@ -361,17 +363,17 @@ bool parse_request(const std::string& payload, Request* out,
     *out = std::move(req);
     return true;
   }
+  std::string_view key;
+  std::string_view value;
   if (line == "qbss-svc/1 stats") {
     req.verb = Verb::kStats;
-    while (std::getline(in, line)) {
-      std::string key;
-      std::string value;
+    while (io::next_line(payload, &line)) {
       if (!split_field(line, &key, &value)) {
-        *error = "malformed stats field: " + line;
+        *error = "malformed stats field: " + std::string(line);
         return false;
       }
       if (key != "format") {
-        *error = "unknown stats field: " + key;
+        *error = "unknown stats field: " + std::string(key);
         return false;
       }
       if (value != "json" && value != "prometheus") {
@@ -384,33 +386,31 @@ bool parse_request(const std::string& payload, Request* out,
     return true;
   }
   if (line != "qbss-svc/1 solve") {
-    *error = "unknown request line: " + line;
+    *error = "unknown request line: " + std::string(line);
     return false;
   }
   req.verb = Verb::kSolve;
   bool saw_instance = false;
-  while (std::getline(in, line)) {
+  while (io::next_line(payload, &line)) {
     if (line == "instance:") {
       saw_instance = true;
       break;
     }
-    std::string key;
-    std::string value;
     if (!split_field(line, &key, &value)) {
-      *error = "malformed request field: " + line;
+      *error = "malformed request field: " + std::string(line);
       return false;
     }
     if (key == "algo") {
       req.algo = value;
     } else if (key == "alpha") {
-      if (!parse_double_field(value, &req.alpha) || !(req.alpha > 1.0) ||
+      if (!io::parse_number(value, &req.alpha) || !(req.alpha > 1.0) ||
           !(req.alpha <= 100.0)) {
         *error = "alpha must be a number in (1, 100]";
         return false;
       }
     } else if (key == "machines") {
       double m = 0.0;
-      if (!parse_double_field(value, &m) || m < 1.0 || m > 1024.0 ||
+      if (!io::parse_number(value, &m) || m < 1.0 || m > 1024.0 ||
           m != static_cast<double>(static_cast<int>(m))) {
         *error = "machines must be an integer in [1, 1024]";
         return false;
@@ -419,13 +419,13 @@ bool parse_request(const std::string& payload, Request* out,
     } else if (key == "schedule") {
       req.want_schedule = value == "1";
     } else if (key == "deadline_ms") {
-      if (!parse_double_field(value, &req.deadline_ms) ||
+      if (!io::parse_number(value, &req.deadline_ms) ||
           req.deadline_ms < 0.0) {
         *error = "deadline_ms must be a non-negative number";
         return false;
       }
     } else {
-      *error = "unknown request field: " + key;
+      *error = "unknown request field: " + std::string(key);
       return false;
     }
   }
@@ -433,12 +433,10 @@ bool parse_request(const std::string& payload, Request* out,
     *error = "request has no instance section";
     return false;
   }
-  io::Parsed<core::QInstance> parsed = io::read_qinstance(in);
+  io::Parsed<core::QInstance> parsed = io::read_qinstance(payload);
   if (!parsed) {
-    std::ostringstream msg;
-    msg << "instance line " << parsed.error.line << ": "
-        << parsed.error.message;
-    *error = msg.str();
+    *error = "instance line " + std::to_string(parsed.error.line) + ": " +
+             parsed.error.message;
     return false;
   }
   req.instance = std::move(*parsed.value);
@@ -447,18 +445,25 @@ bool parse_request(const std::string& payload, Request* out,
 }
 
 std::string cache_key(const Request& request) {
-  std::string key = "v1|";
-  key += request.algo;
-  key += '|';
   // machines only shapes avrq_m results; canonicalize it away elsewhere
   // so identical single-machine requests share an entry.
-  key += request.algo == "avrq_m" ? std::to_string(request.machines) : "0";
+  const std::string machines =
+      request.algo == "avrq_m" ? std::to_string(request.machines) : "0";
+  const std::string jobs = std::to_string(request.instance.size());
+  std::string key;
+  key.reserve(3 + request.algo.size() + 1 + machines.size() + 2 + 2 +
+              kKeyHex + 2 + jobs.size() +
+              request.instance.size() * (1 + 5 * kKeyHex));
+  key += "v1|";
+  key += request.algo;
+  key += '|';
+  key += machines;
   key += '|';
   key += request.want_schedule ? '1' : '0';
   key += "|a";
   append_double_bits(key, request.alpha);
   key += "|n";
-  key += std::to_string(request.instance.size());
+  key += jobs;
   for (const core::QJob& j : request.instance.jobs()) {
     key += '|';
     append_double_bits(key, j.release);
@@ -488,11 +493,10 @@ bool solve_request(const Request& request, std::string* payload,
   }
   if (!in_policy_domain(request, error)) return false;
   const double alpha = request.alpha;
-  std::ostringstream out;
   // max_digits10 throughout: the classical section must carry the exact
   // doubles the schedule was computed against, or re-validation of the
   // (bit-exact) schedule dump fails on rounded deadlines and works.
-  out.precision(std::numeric_limits<double>::max_digits10);
+  std::string out;
 
   if (request.algo == "avrq_m") {
     if (request.want_schedule) {
@@ -505,15 +509,15 @@ bool solve_request(const Request& request, std::string* payload,
         core::validate_multi_run(request.instance, run).feasible;
     int queried = 0;
     for (const bool q : run.expansion.queried) queried += q ? 1 : 0;
-    out << "algo: avrq_m\n";
-    out << "alpha: " << lossless(alpha) << '\n';
-    out << "jobs: " << request.instance.size() << '\n';
-    out << "machines: " << request.machines << '\n';
-    out << "queried: " << queried << '\n';
-    out << "valid: " << (valid ? 1 : 0) << '\n';
-    out << "energy: " << lossless(run.energy(alpha)) << '\n';
-    out << "max_speed: " << lossless(run.max_speed()) << '\n';
-    *payload = out.str();
+    put_field(out, "algo", "avrq_m");
+    put_number(out, "alpha", alpha);
+    put_field(out, "jobs", std::to_string(request.instance.size()));
+    put_field(out, "machines", std::to_string(request.machines));
+    put_field(out, "queried", std::to_string(queried));
+    put_field(out, "valid", valid ? "1" : "0");
+    put_number(out, "energy", run.energy(alpha));
+    put_number(out, "max_speed", run.max_speed());
+    *payload = std::move(out);
     return true;
   }
 
@@ -530,20 +534,20 @@ bool solve_request(const Request& request, std::string* payload,
     for (const core::QJob& j : request.instance.jobs()) {
       queried += j.optimum_queries() ? 1 : 0;
     }
-    out << "algo: opt\n";
-    out << "alpha: " << lossless(alpha) << '\n';
-    out << "jobs: " << request.instance.size() << '\n';
-    out << "queried: " << queried << '\n';
-    out << "valid: " << (valid ? 1 : 0) << '\n';
-    out << "energy: " << lossless(schedule.energy(alpha)) << '\n';
-    out << "max_speed: " << lossless(schedule.max_speed()) << '\n';
+    put_field(out, "algo", "opt");
+    put_number(out, "alpha", alpha);
+    put_field(out, "jobs", std::to_string(request.instance.size()));
+    put_field(out, "queried", std::to_string(queried));
+    put_field(out, "valid", valid ? "1" : "0");
+    put_number(out, "energy", schedule.energy(alpha));
+    put_number(out, "max_speed", schedule.max_speed());
     if (request.want_schedule) {
-      out << "classical:\n";
-      io::write_instance(out, classical);
-      out << "schedule:\n";
-      io::write_schedule(out, schedule, alpha);
+      out += "classical:\n";
+      io::append_instance(out, classical);
+      out += "schedule:\n";
+      io::append_schedule(out, schedule, alpha);
     }
-    *payload = out.str();
+    *payload = std::move(out);
     return true;
   }
 
@@ -565,20 +569,20 @@ bool solve_request(const Request& request, std::string* payload,
   }
   valid = core::validate_run(request.instance, run).feasible;
   for (const bool q : run.expansion.queried) queried += q ? 1 : 0;
-  out << "algo: " << request.algo << '\n';
-  out << "alpha: " << lossless(alpha) << '\n';
-  out << "jobs: " << request.instance.size() << '\n';
-  out << "queried: " << queried << '\n';
-  out << "valid: " << (valid ? 1 : 0) << '\n';
-  out << "energy: " << lossless(run.energy(alpha)) << '\n';
-  out << "max_speed: " << lossless(run.max_speed()) << '\n';
+  put_field(out, "algo", request.algo);
+  put_number(out, "alpha", alpha);
+  put_field(out, "jobs", std::to_string(request.instance.size()));
+  put_field(out, "queried", std::to_string(queried));
+  put_field(out, "valid", valid ? "1" : "0");
+  put_number(out, "energy", run.energy(alpha));
+  put_number(out, "max_speed", run.max_speed());
   if (request.want_schedule) {
-    out << "classical:\n";
-    io::write_instance(out, run.expansion.classical);
-    out << "schedule:\n";
-    io::write_schedule(out, run.schedule, alpha);
+    out += "classical:\n";
+    io::append_instance(out, run.expansion.classical);
+    out += "schedule:\n";
+    io::append_schedule(out, run.schedule, alpha);
   }
-  *payload = out.str();
+  *payload = std::move(out);
   return true;
 }
 
@@ -592,15 +596,16 @@ void solve_request_batch(std::span<SolveItem> items) {
   }
 }
 
-bool parse_solve_result(const std::string& payload, SolveResult* out,
+bool parse_solve_result(std::string_view payload, SolveResult* out,
                         std::string* error) {
-  std::istringstream in(payload);
-  std::string line;
+  std::string_view line;
   SolveResult result;
   enum class Section { kFields, kClassical, kSchedule };
   Section section = Section::kFields;
   bool saw_energy = false;
-  while (std::getline(in, line)) {
+  std::string_view key;
+  std::string_view value;
+  while (io::next_line(payload, &line)) {
     if (line == "classical:") {
       section = Section::kClassical;
       continue;
@@ -619,23 +624,21 @@ bool parse_solve_result(const std::string& payload, SolveResult* out,
       result.schedule_text += '\n';
       continue;
     }
-    std::string key;
-    std::string value;
     if (!split_field(line, &key, &value)) {
-      *error = "malformed result field: " + line;
+      *error = "malformed result field: " + std::string(line);
       return false;
     }
     if (key == "algo") {
       result.algo = value;
     } else if (key == "alpha") {
-      if (!parse_double_field(value, &result.alpha)) {
-        *error = "bad alpha: " + value;
+      if (!io::parse_number(value, &result.alpha)) {
+        *error = "bad alpha: " + std::string(value);
         return false;
       }
     } else if (key == "jobs" || key == "machines" || key == "queried") {
       double v = 0.0;
-      if (!parse_double_field(value, &v) || v < 0.0) {
-        *error = "bad " + key + ": " + value;
+      if (!io::parse_number(value, &v) || v < 0.0) {
+        *error = "bad " + std::string(key) + ": " + std::string(value);
         return false;
       }
       if (key == "jobs") result.jobs = static_cast<std::size_t>(v);
@@ -644,18 +647,18 @@ bool parse_solve_result(const std::string& payload, SolveResult* out,
     } else if (key == "valid") {
       result.valid = value == "1";
     } else if (key == "energy") {
-      if (!parse_double_field(value, &result.energy)) {
-        *error = "bad energy: " + value;
+      if (!io::parse_number(value, &result.energy)) {
+        *error = "bad energy: " + std::string(value);
         return false;
       }
       saw_energy = true;
     } else if (key == "max_speed") {
-      if (!parse_double_field(value, &result.max_speed)) {
-        *error = "bad max_speed: " + value;
+      if (!io::parse_number(value, &result.max_speed)) {
+        *error = "bad max_speed: " + std::string(value);
         return false;
       }
     } else {
-      *error = "unknown result field: " + key;
+      *error = "unknown result field: " + std::string(key);
       return false;
     }
   }

@@ -126,7 +126,7 @@ struct Request {
 
 /// Parses a request payload; false + *error on malformed input (errors
 /// inside the instance section carry the section-relative line number).
-[[nodiscard]] bool parse_request(const std::string& payload, Request* out,
+[[nodiscard]] bool parse_request(std::string_view payload, Request* out,
                                  std::string* error);
 
 /// Canonical result-cache key: an exact (collision-free) serialization
@@ -176,7 +176,7 @@ struct SolveResult {
 };
 
 /// Parses a solve ok-payload; false + *error on malformed input.
-[[nodiscard]] bool parse_solve_result(const std::string& payload,
+[[nodiscard]] bool parse_solve_result(std::string_view payload,
                                       SolveResult* out, std::string* error);
 
 }  // namespace qbss::svc

@@ -672,9 +672,19 @@ bool SegmentStore::contains(const std::string& key) const {
 }
 
 void SegmentStore::sync() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!open_ || segments_.empty()) return;
-  ::fsync(segments_.back().fd);
+  // fsync a copy of the active segment's descriptor outside the lock, so
+  // finds and appends never wait on the disk, and a seal or close that
+  // retires the segment meanwhile cannot close the fd under the fsync.
+  // Sealed segments were fsynced by seal_active_locked.
+  int fd = -1;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!open_ || segments_.empty()) return;
+    fd = ::dup(segments_.back().fd);
+  }
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
 }
 
 void SegmentStore::release_locked() {

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "analysis/bounds.hpp"
 #include "common/xoshiro.hpp"
 #include "gen/random_instances.hpp"
+#include "io/format.hpp"
 #include "qbss/avrq_m.hpp"
 #include "qbss/clairvoyant.hpp"
 #include "qbss/transform.hpp"
@@ -32,6 +34,23 @@ TEST(AvrqM, FeasibleAcrossMachineCounts) {
           << "seed " << seed << " m=" << m << ": "
           << (report.errors.empty() ? "" : report.errors.front());
     }
+  }
+}
+
+// `qbss gen --family mixed --n 64 --seed 191 | qbss run --algo avrq_m
+// --machines 4` used to abort: after rounding filled the last machine,
+// McNaughton's rule put a sub-tolerance demand on machine 4.
+TEST(AvrqM, RoundingNeverPlacesPastTheLastMachine) {
+  const QInstance generated = gen::random_online(64, 10.0, 0.5, 4.0, 191);
+  std::ostringstream text;  // what `qbss gen` prints: 6 digits
+  io::write_qinstance(text, generated);
+  const io::Parsed<QInstance> printed = io::read_qinstance(text.str());
+  ASSERT_TRUE(printed);
+  for (const QInstance* inst : {&generated, &*printed.value}) {
+    const QbssMultiRun run = avrq_m(*inst, 4);
+    const auto report = validate_multi_run(*inst, run);
+    EXPECT_TRUE(report.feasible)
+        << (report.errors.empty() ? "" : report.errors.front());
   }
 }
 

@@ -62,6 +62,53 @@ TEST(McNaughton, FullLoadUsesAllMachines) {
   }
 }
 
+/// Every placement lies on [0, machines) inside the slot, gives each job
+/// its demand, and no two pieces overlap on one machine or for one job.
+void expect_valid_packing(Interval slot, const std::vector<SlotDemand>& demands,
+                          int machines) {
+  const auto placements = mcnaughton_pack(slot, demands, machines);
+  std::vector<Time> placed(demands.size(), 0.0);
+  for (std::size_t a = 0; a < placements.size(); ++a) {
+    const SlotPlacement& p = placements[a];
+    ASSERT_GE(p.machine, 0);
+    ASSERT_LT(p.machine, machines);
+    EXPECT_TRUE(slot.covers(p.span));
+    placed[static_cast<std::size_t>(p.job)] += p.span.length();
+    for (std::size_t b = a + 1; b < placements.size(); ++b) {
+      const SlotPlacement& q = placements[b];
+      if (p.machine == q.machine || p.job == q.job) {
+        EXPECT_TRUE(p.span.intersect(q.span).empty())
+            << "jobs " << p.job << " and " << q.job;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < demands.size(); ++j) {
+    EXPECT_NEAR(placed[j], demands[j].duration, 1e-9) << "job " << j;
+  }
+}
+
+TEST(McNaughton, RoundingResidueStaysOnTheLastMachine) {
+  // The second demand fills the last machine to within the snap
+  // tolerance and the third is the sub-tolerance rest; snapping the
+  // second used to push the third onto machine 2 of 2.
+  expect_valid_packing({0.0, 1e-5}, {{0, 1e-5}, {1, 1e-5 - 5e-10}, {2, 5e-10}},
+                       2);
+}
+
+TEST(McNaughton, DemandsSummingToFullLoadPlusRoundingFit) {
+  // A slot of AVR(m) on `qbss gen --family mixed --n 64 --seed 191` with
+  // four machines: the demands sum to 3 * len plus 3.4e-21 of rounding.
+  const std::vector<SlotDemand> demands = {
+      {0, 8.5741490366826952e-06},  {1, 5.7858714052518842e-06},
+      {2, 5.1667292912858894e-06},  {3, 4.2236202580871869e-06},
+      {4, 2.3404154533355937e-06},  {5, 1.7517825654026353e-06},
+      {6, 8.5382756197914871e-07},  {7, 6.5509850297382092e-07},
+      {8, 3.5926029535919381e-07},  {9, 1.6677434464453165e-07},
+      {10, 8.1452016102164018e-08}, {11, 4.0520372799870988e-08},
+      {12, 4.9889495965572018e-10}};
+  expect_valid_packing({6.6517800000000005, 6.6517900000000001}, demands, 3);
+}
+
 // ----- AVR(m) ----------------------------------------------------------
 
 TEST(AvrM, SingleMachineReducesToAvr) {

@@ -153,14 +153,12 @@ void check_response(RunState& state, std::size_t pool_index,
               result.valid && !result.classical_text.empty() &&
               !result.schedule_text.empty();
   if (good) {
-    std::istringstream classical_in(result.classical_text);
-    std::istringstream schedule_in(result.schedule_text);
     const io::Parsed<scheduling::Instance> classical =
-        io::read_instance(classical_in);
+        io::read_instance(result.classical_text);
     good = static_cast<bool>(classical);
     if (good) {
       const io::Parsed<scheduling::Schedule> schedule =
-          io::read_schedule(schedule_in, classical.value->size());
+          io::read_schedule(result.schedule_text, classical.value->size());
       good = static_cast<bool>(schedule) &&
              scheduling::validate(*classical.value, *schedule.value)
                  .feasible &&
