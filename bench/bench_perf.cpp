@@ -56,26 +56,6 @@ void BM_Yds(benchmark::State& state) {
 }
 BENCHMARK(BM_Yds)->RangeMultiplier(2)->Range(8, 4096)->Complexity();
 
-void BM_SolveMany(benchmark::State& state) {
-  // Batched entry point: one warm arena across the whole batch (the
-  // service's worker loop takes this path). Batch of 32 instances at
-  // the given size, distinct seeds.
-  const int n = static_cast<int>(state.range(0));
-  std::vector<scheduling::Instance> instances;
-  for (std::uint64_t s = 0; s < 32; ++s) {
-    instances.push_back(core::clairvoyant_instance(
-        gen::random_online(n, 10.0, 0.5, 4.0, 1000 + s)));
-  }
-  std::vector<const scheduling::Instance*> ptrs;
-  for (const auto& inst : instances) ptrs.push_back(&inst);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduling::solve_many(ptrs));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ptrs.size()));
-}
-BENCHMARK(BM_SolveMany)->RangeMultiplier(4)->Range(8, 512);
-
 void BM_DensityScan(benchmark::State& state) {
   // The solver's inner row scan in isolation, at sizes up to n = 1e6
   // (the full general solver is quadratic in events and cannot reach

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,8 +28,15 @@ namespace {
 static_assert(std::is_trivially_copyable_v<LogEvent>,
               "ring slots are seqlock-copied; a torn copy must be a torn "
               "byte pattern, never undefined behavior");
+static_assert(sizeof(LogEvent) % sizeof(std::uint64_t) == 0 &&
+                  offsetof(LogEvent, ts_ns) % sizeof(std::uint64_t) == 0,
+              "ring slots hold an event as whole 64-bit words");
 static_assert((kRingCapacity & (kRingCapacity - 1)) == 0,
               "ring indexing masks, so the capacity must be a power of two");
+
+constexpr std::size_t kEventWords = sizeof(LogEvent) / sizeof(std::uint64_t);
+constexpr std::size_t kTsWord =
+    offsetof(LogEvent, ts_ns) / sizeof(std::uint64_t);
 
 // ---------------------------------------------------------------------------
 // Per-thread rings.
@@ -38,11 +46,17 @@ static_assert((kRingCapacity & (kRingCapacity - 1)) == 0,
 // progress, index+1 once whole), so concurrent readers — the flusher
 // and the flight dumper — validate the stamp around their copy and skip
 // slots the writer lapped mid-read. The writer itself never waits.
+//
+// The event itself is stored as 64-bit atomic words, so a reader racing
+// the writer reads stale or torn values, never a data race. Each word
+// store is a release and each word load an acquire: a reader that sees
+// any word of a newer event therefore also sees that event's `seq = 0`
+// store, and its re-check of `seq` fails.
 // ---------------------------------------------------------------------------
 
 struct Slot {
   std::atomic<std::uint64_t> seq{0};
-  LogEvent event;
+  std::atomic<std::uint64_t> words[kEventWords];
 };
 
 class Ring {
@@ -50,8 +64,13 @@ class Ring {
   void push(const LogEvent& ev) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     Slot& slot = slots_[h & (kRingCapacity - 1)];
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&ev);
     slot.seq.store(0, std::memory_order_release);
-    std::memcpy(&slot.event, &ev, sizeof(LogEvent));
+    for (std::size_t w = 0; w < kEventWords; ++w) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, bytes + w * sizeof word, sizeof word);
+      slot.words[w].store(word, std::memory_order_release);
+    }
     slot.seq.store(h + 1, std::memory_order_release);
     head_.store(h + 1, std::memory_order_release);
   }
@@ -65,8 +84,11 @@ class Ring {
   bool read(std::uint64_t i, LogEvent* out) const noexcept {
     const Slot& slot = slots_[i & (kRingCapacity - 1)];
     if (slot.seq.load(std::memory_order_acquire) != i + 1) return false;
-    std::memcpy(out, &slot.event, sizeof(LogEvent));
-    std::atomic_thread_fence(std::memory_order_acquire);
+    auto* bytes = reinterpret_cast<unsigned char*>(out);
+    for (std::size_t w = 0; w < kEventWords; ++w) {
+      const std::uint64_t word = slot.words[w].load(std::memory_order_acquire);
+      std::memcpy(bytes + w * sizeof word, &word, sizeof word);
+    }
     return slot.seq.load(std::memory_order_relaxed) == i + 1;
   }
 
@@ -74,8 +96,7 @@ class Ring {
   bool peek_ts(std::uint64_t i, std::uint64_t* ts) const noexcept {
     const Slot& slot = slots_[i & (kRingCapacity - 1)];
     if (slot.seq.load(std::memory_order_acquire) != i + 1) return false;
-    *ts = slot.event.ts_ns;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    *ts = slot.words[kTsWord].load(std::memory_order_acquire);
     return slot.seq.load(std::memory_order_relaxed) == i + 1;
   }
 

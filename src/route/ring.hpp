@@ -14,8 +14,8 @@
 //     the key space — and every remapped key moves to/from that backend.
 //
 // successors() walks the ring past a key's owner to find the distinct
-// next backends — the replica set for hot-key replication and the
-// failover order when the owner's breaker is open.
+// next backends — the failover ladder the router walks when the owner's
+// breaker is open or its call fails.
 #pragma once
 
 #include <cstdint>

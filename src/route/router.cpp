@@ -1,6 +1,5 @@
 #include "route/router.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "faults/faults.hpp"
@@ -14,10 +13,6 @@ namespace {
 
 using A = obs::LogArg;
 using Clock = std::chrono::steady_clock;
-
-/// Distinct hit counts tracked before the table resets (hot verdicts
-/// survive the reset; only in-progress counts restart).
-constexpr std::size_t kMaxTrackedKeys = 65536;
 
 double elapsed_us(Clock::time_point since) {
   return std::chrono::duration<double, std::micro>(Clock::now() - since)
@@ -72,7 +67,6 @@ bool Router::start(std::string* error) {
     return false;
   }
   if (!host_.start(error)) return false;
-  replication_thread_ = std::thread([this] { replication_loop(); });
   if (config_.health_interval_ms > 0.0) {
     health_thread_ = std::thread([this] { health_loop(); });
   }
@@ -89,8 +83,7 @@ void Router::log_route_start() {
   const faults::FaultPlan plan = faults::injector().plan();
   QBSS_LOG_INFO(
       "route.start", 0, A("endpoint", host_.endpoint_label()),
-      A("backends", fleet), A("replicas", config_.replicas),
-      A("hot_threshold", config_.hot_threshold),
+      A("backends", fleet),
       A("health_interval_ms", config_.health_interval_ms),
       A("breaker_failures", config_.breaker_failures),
       A("breaker_open_ms", config_.breaker_open_ms),
@@ -105,15 +98,11 @@ void Router::shutdown() { host_.shutdown(); }
 
 void Router::wait() { host_.wait(); }
 
-void Router::on_shutdown() {
-  // Notified under the mutex the replication loop checks its predicate
-  // with, so the wakeup cannot fall between that check and the wait.
-  const std::lock_guard<std::mutex> lock(replication_mu_);
-  replication_cv_.notify_all();
-}
+// The health loop sleeps in host_.sleep_until_stop(), which the host
+// itself wakes on shutdown.
+void Router::on_shutdown() {}
 
 void Router::on_drain() {
-  if (replication_thread_.joinable()) replication_thread_.join();
   if (health_thread_.joinable()) health_thread_.join();
 }
 
@@ -123,36 +112,18 @@ void Router::on_solve(const std::shared_ptr<svc::Connection>& conn,
                       Clock::time_point received) {
   // The request was parsed only for its cache key: the backend gets the
   // client's bytes unchanged.
-  const std::string key = svc::cache_key(request);
-  const std::uint64_t hash = HashRing::key_hash(key);
-  const std::size_t primary = ring_.primary(hash);
-  bool hot = false;
-  const bool crossed = note_hit(key, &hot);
+  const std::uint64_t hash = HashRing::key_hash(svc::cache_key(request));
 
   // Candidate order: the ring owner, then every other node in ring
-  // order — the tail is the failover ladder. For hot keys the first
-  // `replicas + 1` entries all hold the key, so rotate within that
-  // prefix to spread the load.
+  // order — the tail is the failover ladder.
   std::vector<std::size_t> order;
   order.reserve(backends_.size());
-  order.push_back(primary);
+  order.push_back(ring_.primary(hash));
   const std::vector<std::size_t> succ =
       ring_.successors(hash, backends_.size() - 1);
   order.insert(order.end(), succ.begin(), succ.end());
-  const std::size_t replica_set =
-      hot && config_.replicas > 0
-          ? std::min(config_.replicas + 1, order.size())
-          : 1;
-  if (replica_set > 1) {
-    const std::size_t first =
-        hot_rotation_.fetch_add(1, std::memory_order_relaxed) % replica_set;
-    std::rotate(order.begin(),
-                order.begin() + static_cast<std::ptrdiff_t>(first),
-                order.begin() + static_cast<std::ptrdiff_t>(replica_set));
-  }
 
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t index = order[i];
+  for (const std::size_t index : order) {
     Backend& backend = *backends_[index];
     if (!backend.breaker.allow(now_ns())) continue;
     svc::Client::Reply reply;
@@ -171,16 +142,6 @@ void Router::on_solve(const std::shared_ptr<svc::Connection>& conn,
     backend.forwarded.fetch_add(1, std::memory_order_relaxed);
     QBSS_COUNT("route.forwarded");
     if (reply.cache_hit) QBSS_COUNT("route.hit");
-    if (crossed && config_.replicas > 0 && !succ.empty()) {
-      Replication task;
-      task.payload = payload;
-      const std::size_t targets = std::min(config_.replicas, succ.size());
-      task.targets.assign(succ.begin(),
-                          succ.begin() + static_cast<std::ptrdiff_t>(targets));
-      task.key_hash = hash;
-      task.trace_id = frame.trace_id;
-      enqueue_replication(std::move(task));
-    }
     const std::uint32_t flags = (reply.cache_hit ? svc::kFlagCacheHit : 0u) |
                                 (reply.disk_hit ? svc::kFlagDiskHit : 0u);
     host_.respond(*conn, frame.request_id, frame.trace_id, reply.status,
@@ -256,70 +217,6 @@ void Router::record_backend_result(std::size_t index, bool ok) {
   }
 }
 
-bool Router::note_hit(const std::string& key, bool* hot) {
-  *hot = false;
-  if (config_.hot_threshold == 0) return false;
-  const std::lock_guard<std::mutex> lock(hot_mu_);
-  if (hot_.count(key) != 0) {
-    *hot = true;
-    return false;
-  }
-  if (key_hits_.size() >= kMaxTrackedKeys && key_hits_.count(key) == 0) {
-    key_hits_.clear();  // bounded memory; counts restart, verdicts keep
-  }
-  const std::uint64_t hits = ++key_hits_[key];
-  if (hits < config_.hot_threshold) return false;
-  key_hits_.erase(key);
-  if (hot_.size() >= kMaxTrackedKeys) hot_.clear();
-  hot_.emplace(key, true);
-  hot_keys_.fetch_add(1, std::memory_order_relaxed);
-  QBSS_COUNT("route.hot_keys");
-  *hot = true;
-  return true;
-}
-
-void Router::enqueue_replication(Replication task) {
-  {
-    const std::lock_guard<std::mutex> lock(replication_mu_);
-    replication_queue_.push_back(std::move(task));
-  }
-  replication_cv_.notify_one();
-}
-
-void Router::replication_loop() {
-  for (;;) {
-    Replication task;
-    {
-      std::unique_lock<std::mutex> lock(replication_mu_);
-      replication_cv_.wait(lock, [this] {
-        return !replication_queue_.empty() || host_.stopping();
-      });
-      if (replication_queue_.empty()) {
-        if (host_.stopping()) return;
-        continue;
-      }
-      task = std::move(replication_queue_.front());
-      replication_queue_.pop_front();
-    }
-    for (const std::size_t target : task.targets) {
-      if (host_.stopping()) return;
-      Backend& backend = *backends_[target];
-      if (!backend.breaker.allow(now_ns())) continue;
-      svc::Client::Reply reply;
-      const bool ok = call_backend(target, task.payload, task.trace_id,
-                                   &reply);
-      record_backend_result(target, ok);
-      if (!ok || reply.status != svc::Status::kOk) continue;
-      backend.replicated.fetch_add(1, std::memory_order_relaxed);
-      QBSS_COUNT("route.replicate");
-      QBSS_LOG_INFO("route.replicate", task.trace_id,
-                    A("backend", backend.spec.name),
-                    A::hex("key", task.key_hash),
-                    A("cache_hit", reply.cache_hit));
-    }
-  }
-}
-
 void Router::health_loop() {
   while (!host_.sleep_until_stop(config_.health_interval_ms)) {
     for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -345,7 +242,6 @@ std::vector<Router::BackendStatus> Router::backend_status() const {
     status.state = backend->breaker.state(now);
     status.forwarded = backend->forwarded.load(std::memory_order_relaxed);
     status.failures = backend->failures.load(std::memory_order_relaxed);
-    status.replicated = backend->replicated.load(std::memory_order_relaxed);
     out.push_back(std::move(status));
   }
   return out;
@@ -354,37 +250,27 @@ std::vector<Router::BackendStatus> Router::backend_status() const {
 void Router::add_stats_extras(svc::Extras* extra) {
   extra->emplace_back("role", "route");
   extra->emplace_back("backends", std::to_string(backends_.size()));
-  extra->emplace_back("replicas", std::to_string(config_.replicas));
-  extra->emplace_back("hot_threshold", std::to_string(config_.hot_threshold));
-  extra->emplace_back("hot_keys", std::to_string(hot_keys()));
   extra->emplace_back("responses", std::to_string(responses()));
   // The per-backend breakdown `qbss top`/`scrape` render: one extra per
-  // backend, value = "addr state=... forwarded=... failures=...
-  // replicated=...".
+  // backend, value = "addr state=... forwarded=... failures=...".
   for (const BackendStatus& status : backend_status()) {
     extra->emplace_back(
         "backend." + status.name,
         status.addr + " state=" + breaker_state_name(status.state) +
             " forwarded=" + std::to_string(status.forwarded) +
-            " failures=" + std::to_string(status.failures) +
-            " replicated=" + std::to_string(status.replicated));
+            " failures=" + std::to_string(status.failures));
   }
 }
 
 void Router::add_manifest_extras(obs::Manifest* manifest) {
   manifest->extra.emplace_back("command", "route");
   manifest->extra.emplace_back("backends", std::to_string(backends_.size()));
-  manifest->extra.emplace_back("replicas", std::to_string(config_.replicas));
-  manifest->extra.emplace_back("hot_threshold",
-                               std::to_string(config_.hot_threshold));
-  manifest->extra.emplace_back("hot_keys", std::to_string(hot_keys()));
   manifest->extra.emplace_back("responses", std::to_string(responses()));
   for (const BackendStatus& status : backend_status()) {
     manifest->extra.emplace_back(
         "backend." + status.name,
         status.addr + " forwarded=" + std::to_string(status.forwarded) +
-            " failures=" + std::to_string(status.failures) +
-            " replicated=" + std::to_string(status.replicated));
+            " failures=" + std::to_string(status.failures));
   }
 }
 

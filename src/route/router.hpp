@@ -12,9 +12,6 @@
 //                     │ and trace ids end to end and relaying the
 //                     │ backend's status, both header flags and payload
 //   health loop ──> periodic pings per backend feed the same breakers
-//   replicator  ──> keys whose hit count crosses the hot threshold are
-//                   pushed to R ring successors so a node death doesn't
-//                   cold-start the hottest keys
 //
 // A backend whose breaker is open is skipped and the key fails over to
 // the next ring node — correct by construction, because every backend
@@ -25,15 +22,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,11 +45,6 @@ namespace qbss::route {
 /// (svc::HostConfig).
 struct RouterConfig : svc::HostConfig {
   Topology topology;        ///< the backend fleet (>= 1 node)
-  /// Ring successors hot keys are replicated to (0 = replication off).
-  std::size_t replicas = 1;
-  /// Observed hits at which a key turns hot and replication fires
-  /// (0 = never).
-  std::uint64_t hot_threshold = 16;
   double health_interval_ms = 500.0;  ///< ping cadence per backend
   int breaker_failures = 3;       ///< consecutive failures to trip open
   double breaker_open_ms = 2000.0;    ///< cooldown before the half-open probe
@@ -91,14 +80,8 @@ class Router : private svc::ConnectionHost::Handler {
     Breaker::State state = Breaker::State::kClosed;
     std::uint64_t forwarded = 0;   ///< proxied calls answered by it
     std::uint64_t failures = 0;    ///< proxied calls it failed
-    std::uint64_t replicated = 0;  ///< hot-key pushes it received
   };
   [[nodiscard]] std::vector<BackendStatus> backend_status() const;
-
-  /// Keys whose hit count crossed the hot threshold so far.
-  [[nodiscard]] std::uint64_t hot_keys() const noexcept {
-    return hot_keys_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// One backend at runtime: its spec, breaker and connection pool.
@@ -109,18 +92,8 @@ class Router : private svc::ConnectionHost::Handler {
     std::vector<std::unique_ptr<svc::RetryingClient>> pool;
     std::atomic<std::uint64_t> forwarded{0};
     std::atomic<std::uint64_t> failures{0};
-    std::atomic<std::uint64_t> replicated{0};
     Backend(BackendSpec spec_in, BreakerConfig breaker_in)
         : spec(std::move(spec_in)), breaker(breaker_in) {}
-  };
-
-  /// One queued hot-key replication push: the client's request bytes,
-  /// replayed verbatim to each target.
-  struct Replication {
-    std::string payload;
-    std::vector<std::size_t> targets;  ///< backend indices
-    std::uint64_t key_hash = 0;
-    std::uint64_t trace_id = 0;
   };
 
   // svc::ConnectionHost::Handler.
@@ -137,18 +110,12 @@ class Router : private svc::ConnectionHost::Handler {
   void add_manifest_extras(obs::Manifest* manifest) override;
 
   void health_loop();
-  void replication_loop();
   /// One proxied call of `payload` against backend `index` through its
   /// pool. False on transport exhaustion (the breaker hears about either
   /// outcome).
   [[nodiscard]] bool call_backend(std::size_t index, std::string_view payload,
                                   std::uint64_t trace_id,
                                   svc::Client::Reply* reply);
-  /// Hit-count bookkeeping; true when `key` just crossed the hot
-  /// threshold (the caller then enqueues replication). `*hot` reports
-  /// whether the key is already hot (replica set serves it).
-  [[nodiscard]] bool note_hit(const std::string& key, bool* hot);
-  void enqueue_replication(Replication task);
   void record_backend_result(std::size_t index, bool ok);
   void log_route_start();
 
@@ -156,21 +123,7 @@ class Router : private svc::ConnectionHost::Handler {
   HashRing ring_;
   std::vector<std::unique_ptr<Backend>> backends_;  ///< ring-index order
 
-  std::atomic<std::uint64_t> hot_keys_{0};
-  std::atomic<std::uint64_t> hot_rotation_{0};
-
   std::thread health_thread_;
-  std::thread replication_thread_;
-
-  /// Hot-key table: hit counts plus the already-hot set. Bounded; when
-  /// the count table overflows it is reset (hot verdicts persist).
-  std::mutex hot_mu_;
-  std::unordered_map<std::string, std::uint64_t> key_hits_;
-  std::unordered_map<std::string, bool> hot_;
-
-  std::mutex replication_mu_;
-  std::condition_variable replication_cv_;
-  std::deque<Replication> replication_queue_;
 
   /// Declared last: destroyed first, after Router::~Router has joined
   /// every thread that calls back into the members above.

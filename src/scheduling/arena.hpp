@@ -84,8 +84,8 @@ class SolveArena {
 
 /// The thread-local arena the solver hot path allocates from. One solve
 /// resets and refills it; concurrent solves on different threads get
-/// independent arenas. `solve_many` amortizes its warm-up across a whole
-/// batch, and service workers across their process lifetime.
+/// independent arenas. Consecutive solves on one thread reuse it, so a
+/// service worker pays the warm-up once per process lifetime.
 [[nodiscard]] SolveArena& solve_arena();
 
 }  // namespace qbss::scheduling

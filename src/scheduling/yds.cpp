@@ -374,21 +374,6 @@ Schedule yds(const Instance& instance) {
   return yds_fast(instance);
 }
 
-std::vector<Schedule> solve_many(std::span<const Instance* const> instances) {
-  QBSS_SPAN("yds.solve_many");
-  std::vector<Schedule> out;
-  out.reserve(instances.size());
-  // Sequential on purpose: every solve rewinds and reuses this thread's
-  // arena, so the batch shares one warm footprint — after the first solve
-  // (or a warm thread), the remaining solves never touch the heap for
-  // scratch. Results are identical to calling yds() in a loop.
-  for (const Instance* ins : instances) {
-    QBSS_EXPECTS(ins != nullptr);
-    out.push_back(yds(*ins));
-  }
-  return out;
-}
-
 Schedule yds_reference(const Instance& instance) {
   return yds_peel(instance, find_critical_reference);
 }

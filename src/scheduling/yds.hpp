@@ -16,7 +16,6 @@
 // brute-force optima.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "scheduling/schedule.hpp"
@@ -34,13 +33,6 @@ namespace qbss::scheduling {
 /// allocations outside the returned Schedule (see docs/PERFORMANCE.md).
 /// Precondition: instance jobs are valid (enforced by Instance).
 [[nodiscard]] Schedule yds(const Instance& instance);
-
-/// Solves a batch of instances, sharing one warm arena across the whole
-/// batch (the per-thread arena is rewound, not freed, between solves).
-/// Output is byte-identical to calling yds() on each instance in order.
-/// Entries must be non-null.
-[[nodiscard]] std::vector<Schedule> solve_many(
-    std::span<const Instance* const> instances);
 
 /// Which density-scan kernel the solver uses. kAuto picks the SIMD
 /// kernel for long rows when the build compiled it (-DQBSS_SIMD=ON on a

@@ -586,16 +586,6 @@ bool solve_request(const Request& request, std::string* payload,
   return true;
 }
 
-void solve_request_batch(std::span<SolveItem> items) {
-  QBSS_SPAN("svc.solve_batch");
-  for (SolveItem& item : items) {
-    std::string error;
-    item.payload.clear();
-    item.ok = solve_request(*item.request, &item.payload, &error);
-    if (!item.ok) item.payload = std::move(error);
-  }
-}
-
 bool parse_solve_result(std::string_view payload, SolveResult* out,
                         std::string* error) {
   std::string_view line;

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -145,21 +144,6 @@ struct Request {
 /// (schedule dump for avrq_m).
 [[nodiscard]] bool solve_request(const Request& request, std::string* payload,
                                  std::string* error);
-
-/// One entry of a solve_request_batch call.
-struct SolveItem {
-  const Request* request = nullptr;  ///< in: must be non-null
-  bool ok = false;                   ///< out: solve_request's verdict
-  std::string payload;  ///< out: ok-payload, or the error text when !ok
-};
-
-/// Runs the whole admission batch through the solver in one call. The
-/// solver's per-thread arena is rewound (not freed) between items, so
-/// the batch shares a single warm scratch footprint — this is what the
-/// server's worker loop drains its admission queue into. Items are
-/// solved in order; each result is byte-identical to a standalone
-/// solve_request on the same request.
-void solve_request_batch(std::span<SolveItem> items);
 
 /// Parsed form of a solve ok-payload (loadgen / test side).
 struct SolveResult {

@@ -48,7 +48,6 @@ Server::Server(ServerConfig config)
       cache_(config_.cache_entries, config_.cache_shards) {
   if (config_.workers < 1) config_.workers = 1;
   if (config_.queue_depth < 1) config_.queue_depth = 1;
-  if (config_.batch < 1) config_.batch = 1;
 }
 
 Server::~Server() {
@@ -101,7 +100,7 @@ void Server::log_server_start() {
       "server.start", 0, A("endpoint", host_.endpoint_label()),
       A("workers", config_.workers), A("queue_depth", config_.queue_depth),
       A("cache_entries", config_.cache_entries),
-      A("cache_shards", config_.cache_shards), A("batch", config_.batch),
+      A("cache_shards", config_.cache_shards),
       A("delay_ms", config_.delay_ms),
       A("read_timeout_ms", config_.read_timeout_ms),
       A("write_timeout_ms", config_.write_timeout_ms),
@@ -271,27 +270,17 @@ void Server::on_solve(const std::shared_ptr<Connection>& conn,
 
 void Server::worker_loop() {
   for (;;) {
-    std::vector<Task> batch;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] {
         return !queue_.empty() || host_.stopping();
       });
-      if (queue_.empty()) {
-        if (host_.stopping()) return;
-        continue;
-      }
-      // Batch drain: group small requests into one wakeup.
-      const std::size_t take = std::min(config_.batch, queue_.size());
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      if (queue_.empty()) return;  // stopping, backlog drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    QBSS_COUNT("svc.batches");
-    QBSS_HIST("svc.batch_size", static_cast<double>(batch.size()));
-    process_batch(batch);
+    solve_task(task);
   }
 }
 
@@ -380,18 +369,39 @@ bool Server::prepare_task(Task& task) {
   return !skip;
 }
 
-void Server::finish_task(Task& task, SolveItem& item, std::uint64_t picked_ns,
-                         std::uint64_t solved_ns) {
+void Server::solve_task(Task& task) {
+  const std::uint64_t picked_ns = obs::now_ns();
+  if (!prepare_task(task)) return;
+
+  const faults::Action fault = QBSS_FAULT(faults::Site::kCompute);
+  if (fault.any()) {
+    std::uint64_t trace_id = 0;
+    {
+      // The fault hit this task: borrow its first waiter's trace id so
+      // the flight recording ties the stall to a concrete request.
+      const std::lock_guard<std::mutex> lock(inflight_mu_);
+      const auto& waiters = task.inflight->waiters;
+      if (!waiters.empty()) trace_id = waiters[0].trace.id;
+    }
+    host_.note_fault(fault, "compute", trace_id, 0);
+  }
+  if (fault.delay_ms > 0.0) sleep_ms(fault.delay_ms);
+  if (config_.delay_ms > 0.0) sleep_ms(config_.delay_ms);
+
+  std::string payload;
+  std::string error;
+  const bool ok = solve_request(task.request, &payload, &error);
+  const std::uint64_t solved_ns = obs::now_ns();
   PayloadPtr pinned;
-  if (item.ok) {
+  if (ok) {
     // Publish before retiring the in-flight entry so an identical
     // request arriving in between hits the cache instead of recomputing.
     // The returned pin is the exact bytes just stored — responses below
     // leave from it with no further copies.
-    pinned = cache_.put(task.key, std::move(item.payload));
+    pinned = cache_.put(task.key, std::move(payload));
   } else {
     QBSS_COUNT("svc.errors");
-    item.payload = "message: " + item.payload + "\n";
+    payload = "message: " + error + "\n";
   }
 
   std::vector<Waiter> waiters;
@@ -401,61 +411,15 @@ void Server::finish_task(Task& task, SolveItem& item, std::uint64_t picked_ns,
     inflight_.erase(task.key);
   }
   QBSS_LOG_DEBUG("req.solve", waiters.empty() ? 0 : waiters[0].trace.id,
-                 A("ok", item.ok),
-                 A("bytes", item.ok ? pinned->size() : item.payload.size()),
+                 A("ok", ok), A("bytes", ok ? pinned->size() : payload.size()),
                  A("waiters", waiters.size()));
   for (Waiter& w : waiters) {
     if (w.trace.sampled) {
       w.trace.picked_ns = picked_ns;
       w.trace.solved_ns = solved_ns;
     }
-    respond(w, item.ok ? Status::kOk : Status::kError, 0,
-            item.ok ? std::string_view(*pinned) : std::string_view(item.payload));
-  }
-}
-
-void Server::process_batch(std::vector<Task>& batch) {
-  // Phase 1: per-task admission bookkeeping. Collect the tasks that
-  // still have live waiters.
-  const std::uint64_t picked_ns = obs::now_ns();
-  std::vector<std::size_t> solvable;
-  solvable.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (prepare_task(batch[i])) solvable.push_back(i);
-  }
-  if (solvable.empty()) return;
-
-  // Fault/delay hooks: one compute opportunity per solved task, the same
-  // count and order as the previous one-solve-at-a-time loop.
-  for (std::size_t k = 0; k < solvable.size(); ++k) {
-    const faults::Action fault = QBSS_FAULT(faults::Site::kCompute);
-    if (fault.any()) {
-      std::uint64_t trace_id = 0;
-      {
-        // The fault hit this task: borrow its first waiter's trace id so
-        // the flight recording ties the stall to a concrete request.
-        const std::lock_guard<std::mutex> lock(inflight_mu_);
-        const auto& waiters = batch[solvable[k]].inflight->waiters;
-        if (!waiters.empty()) trace_id = waiters[0].trace.id;
-      }
-      host_.note_fault(fault, "compute", trace_id, 0);
-    }
-    if (fault.delay_ms > 0.0) sleep_ms(fault.delay_ms);
-    if (config_.delay_ms > 0.0) sleep_ms(config_.delay_ms);
-  }
-
-  // Phase 2: one batched solve over the whole drain — the solver arena
-  // warms once per batch instead of once per request.
-  std::vector<SolveItem> items(solvable.size());
-  for (std::size_t k = 0; k < solvable.size(); ++k) {
-    items[k].request = &batch[solvable[k]].request;
-  }
-  solve_request_batch(std::span<SolveItem>(items));
-  const std::uint64_t solved_ns = obs::now_ns();
-
-  // Phase 3: publish + respond per task.
-  for (std::size_t k = 0; k < solvable.size(); ++k) {
-    finish_task(batch[solvable[k]], items[k], picked_ns, solved_ns);
+    respond(w, ok ? Status::kOk : Status::kError, 0,
+            ok ? std::string_view(*pinned) : std::string_view(payload));
   }
 }
 
@@ -493,7 +457,6 @@ void Server::add_manifest_extras(obs::Manifest* manifest) {
                                std::to_string(config_.cache_entries));
   manifest->extra.emplace_back("cache_shards",
                                std::to_string(config_.cache_shards));
-  manifest->extra.emplace_back("batch", std::to_string(config_.batch));
   manifest->extra.emplace_back("responses", std::to_string(responses()));
   manifest->extra.emplace_back("cache_size", std::to_string(cache_.size()));
   manifest->extra.emplace_back("cache_evictions",

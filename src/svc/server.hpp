@@ -8,14 +8,14 @@
 //   Server::on_solve ─┤ check result cache (hit → respond)
 //                     │ coalesce onto an identical in-flight request, or
 //                     │ admit into the bounded queue (full → shed)
-//   worker pool <─────┘ drain up to `batch` tasks per wakeup, drop
-//                       deadline-expired waiters, solve once, cache,
-//                       respond to every coalesced waiter
+//   worker pool <─────┘ pop one task per wakeup, drop deadline-expired
+//                       waiters, solve once, cache, respond to every
+//                       coalesced waiter
 //
 // Backpressure is structural: the admission queue never exceeds
 // `queue_depth`, so overload turns into immediate `shed` responses
 // instead of unbounded latency. Every stage feeds `svc.*` counters,
-// latency/queue-depth/batch-size histograms and Chrome-trace spans, and
+// latency/queue-depth histograms and Chrome-trace spans, and
 // shutdown writes a manifest epilogue (`BENCH_svc.json` by default from
 // the CLI) that `qbss obs-diff` can gate on.
 #pragma once
@@ -56,7 +56,6 @@ struct ServerConfig : HostConfig {
   /// Write-behind fsync cadence: "none", "interval" or "always".
   std::string cache_sync = "interval";
   double cache_sync_interval_ms = 100.0;  ///< "interval" mode cadence
-  std::size_t batch = 4;     ///< max tasks drained per worker wakeup
   double delay_ms = 0.0;     ///< artificial per-solve delay (soak knob)
   /// Shutdown drain budget: backlog still queued past this deadline is
   /// answered with `shed` instead of solved, bounding exit time. 0 =
@@ -150,18 +149,12 @@ class Server : private ConnectionHost::Handler {
   void add_manifest_extras(obs::Manifest* manifest) override;
 
   void worker_loop();
-  /// Drains one admission batch: shed bookkeeping per task, then a
-  /// single solve_request_batch call over the survivors, then publish
-  /// and respond per task.
-  void process_batch(std::vector<Task>& batch);
+  /// One dequeued task: shed bookkeeping, the compute fault/delay hook,
+  /// solve_request, then publish and respond to every waiter.
+  void solve_task(Task& task);
   /// Pre-solve bookkeeping for one task (shutdown-drain shed, expired
   /// waiters). False when the task needs no solve.
   [[nodiscard]] bool prepare_task(Task& task);
-  /// Publishes one solved task and answers its waiters. `picked_ns` /
-  /// `solved_ns` stamp the batch's queue-exit and solve-done times into
-  /// sampled waiters' trace chains.
-  void finish_task(Task& task, SolveItem& item, std::uint64_t picked_ns,
-                   std::uint64_t solved_ns);
   void respond(const Waiter& waiter, Status status, std::uint32_t flags,
                std::string_view payload);
   void enter_degraded();

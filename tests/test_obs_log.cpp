@@ -1,13 +1,17 @@
 // The structured event log + flight recorder: level parsing, typed-arg
 // rendering and truncation, ring retention (last kRingCapacity events
 // per thread survive regardless of the sink filter), the timestamp-
-// ordered flight dump, NDJSON round trips through parse_log_line, and
-// the sink's severity filter. Everything runs in one process against
-// the global rings, so tests identify their events by unique literal
-// names instead of assuming an empty log.
+// ordered flight dump (also while other threads keep logging), NDJSON
+// round trips through parse_log_line, and the sink's severity filter.
+// Everything runs in one process against the global rings, so tests
+// identify their events by unique literal names instead of assuming an
+// empty log.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
@@ -145,6 +149,44 @@ TEST(ObsLog, FlightDumpIsTimestampOrderedAcrossThreads) {
   }
   EXPECT_EQ(merge_events, 200u);
   EXPECT_EQ(merge_threads.size(), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(ObsLog, DumpsWhileThreadsLogNeverEmitTornEvents) {
+  // Writers keep lapping their rings while this thread dumps them, so
+  // dumps read slots mid-overwrite. Such a slot must be skipped: an
+  // event mixing words of two writes shows up as `check != 7 * i`, or
+  // as a line that does not parse (read_events fails on those).
+  constexpr int kWriters = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> lapped{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&stop, &lapped] {
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        QBSS_LOG_DEBUG("log.test.torn", 0, A("i", i), A("check", 7 * i));
+        if (i == kRingCapacity) lapped.fetch_add(1);
+      }
+    });
+  }
+  // Dump only once every writer has lapped its ring at least once.
+  while (lapped.load() < kWriters) std::this_thread::yield();
+  const std::string path = "test_log_torn.ndjson";
+  std::size_t checked = 0;
+  std::size_t torn = 0;
+  for (int dump = 0; dump < 20; ++dump) {
+    if (dump_flight_recorder(path.c_str()) < 0) break;
+    for (const ParsedLogLine& e : read_events(path, "log.test.torn")) {
+      const std::uint64_t i =
+          std::strtoull(arg_value(e, "i").c_str(), nullptr, 10);
+      if (arg_value(e, "check") != std::to_string(7 * i)) ++torn;
+      ++checked;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& w : writers) w.join();
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << checked << " events";
   std::remove(path.c_str());
 }
 

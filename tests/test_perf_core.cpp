@@ -3,8 +3,9 @@
 // The SoA/arena/fused-scan solver (and, when compiled, the SIMD density
 // kernel) must produce schedules bit-for-bit equal to the reference
 // scan across every generator family, including denormal and -0.0 job
-// values; solve_many must equal a loop of solves; and a warm solve must
-// touch the heap zero times (asserted through the arena growth counters).
+// values; and a warm solve — one instance repeated, or a loop over many —
+// must touch the heap zero times (asserted through the arena growth
+// counters).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -41,8 +42,8 @@ void expect_bits_equal(const StepFunction& a, const StepFunction& b,
 }
 
 /// Bitwise schedule equality — stronger than tolerance comparison; this
-/// is the contract the production paths (scalar/SIMD/batched) promise
-/// among themselves.
+/// is the contract the production paths (scalar/SIMD) promise among
+/// themselves.
 void expect_bit_identical(const Schedule& a, const Schedule& b) {
   ASSERT_EQ(a.job_count(), b.job_count());
   expect_bits_equal(a.speed(), b.speed(), "speed");
@@ -227,17 +228,6 @@ TEST(YdsDifferential, DenormalAndNegativeZeroValues) {
   expect_bit_identical(scalar, simd);
 }
 
-TEST(SolveMany, ByteIdenticalToLoopOfSolves) {
-  const std::vector<Instance> instances = family_instances();
-  std::vector<const Instance*> ptrs;
-  for (const Instance& inst : instances) ptrs.push_back(&inst);
-  const std::vector<Schedule> batched = solve_many(ptrs);
-  ASSERT_EQ(batched.size(), instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    expect_bit_identical(batched[i], yds(instances[i]));
-  }
-}
-
 std::uint64_t counter_value(const char* name) {
   for (const auto& [key, value] : obs::registry().snapshot()) {
     if (key == name) return value;
@@ -263,13 +253,13 @@ TEST(ZeroAlloc, SteadyStateSolveNeverGrowsTheArena) {
   EXPECT_EQ(counter_value("solver.alloc.bytes"), bytes);
 }
 
-TEST(ZeroAlloc, SolveManySharesOneWarmArena) {
+TEST(ZeroAlloc, LoopOfSolvesSharesOneWarmArena) {
   const std::vector<Instance> instances = family_instances();
-  std::vector<const Instance*> ptrs;
-  for (const Instance& inst : instances) ptrs.push_back(&inst);
-  static_cast<void>(solve_many(ptrs));  // warm to the batch's high-water mark
+  // The first pass warms the arena to the largest instance's footprint;
+  // a second pass over the same instances must reuse it.
+  for (const Instance& inst : instances) static_cast<void>(yds(inst));
   const std::uint64_t growths = solve_arena().growths();
-  static_cast<void>(solve_many(ptrs));
+  for (const Instance& inst : instances) static_cast<void>(yds(inst));
   EXPECT_EQ(solve_arena().growths(), growths);
 }
 

@@ -3,11 +3,11 @@
 // parsing; the breaker state machine under an injected clock; and an
 // end-to-end fleet — two real servers behind an in-process Router —
 // covering byte-identity with a direct backend call, trace-id echo,
-// per-backend stats, hot-key replication, breaker failover when a
-// backend dies, the no-backend shed path, disk-hit flags relayed after a
-// backend restart, the server's malformed-frame and idle-peer cases
-// against the router, and reader threads joined once their connections
-// close (for both roles).
+// per-backend stats, every request for a key going to its ring owner,
+// breaker failover when a backend dies, the no-backend shed path,
+// disk-hit flags relayed after a backend restart, the server's
+// malformed-frame and idle-peer cases against the router, and reader
+// threads joined once their connections close (for both roles).
 #include "route/health.hpp"
 #include "route/ring.hpp"
 #include "route/router.hpp"
@@ -381,8 +381,6 @@ RouterConfig fast_config() {
   config.backend_retries = 0;
   config.backend_timeout_ms = 2000.0;
   config.stats_interval_ms = 50.0;
-  config.hot_threshold = 3;
-  config.replicas = 1;
   return config;
 }
 
@@ -449,41 +447,33 @@ TEST(Router, StatsReportPerBackendRows) {
   EXPECT_EQ(status[0].forwarded + status[1].forwarded, 1u);
 }
 
-TEST(Router, HotKeysReplicateToTheSuccessor) {
-  Fleet fleet(fast_config());  // hot_threshold 3, replicas 1
+TEST(Router, EveryRequestForAKeyGoesToItsOwner) {
+  Fleet fleet;  // default RouterConfig
   ASSERT_TRUE(fleet.router);
 
   svc::Client client;
   std::string error;
   ASSERT_TRUE(client.connect_unix(fleet.router_path, &error)) << error;
   const svc::Request request = solve_request(23);
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 40; ++i) {
     svc::Client::Reply reply;
     ASSERT_TRUE(client.call(request, &reply, &error)) << error;
     ASSERT_EQ(reply.status, svc::Status::kOk);
   }
-  EXPECT_EQ(fleet.router->hot_keys(), 1u);
 
-  // Replication is asynchronous; with two nodes the single successor is
-  // whichever backend is not the primary.
-  bool replicated = false;
-  for (int spin = 0; spin < 100 && !replicated; ++spin) {
-    for (const Router::BackendStatus& status :
-         fleet.router->backend_status()) {
-      if (status.replicated > 0) replicated = true;
-    }
-    if (!replicated) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+  // A repeated key is never spread across the fleet: its owner's cache
+  // answers every repeat, and the other backend never sees it.
+  const HashRing ring({{"b1", 1.0}, {"b2", 1.0}});
+  const std::string owner = ring.name(
+      ring.primary(HashRing::key_hash(svc::cache_key(request))));
+  for (const Router::BackendStatus& status : fleet.router->backend_status()) {
+    EXPECT_EQ(status.forwarded, status.name == owner ? 40u : 0u)
+        << status.name << " (owner " << owner << ")";
   }
-  EXPECT_TRUE(replicated)
-      << "hot key never reached the successor backend";
 }
 
 TEST(Router, FailsOverWhenABackendDiesAndShedsWhenAllDo) {
-  RouterConfig config = fast_config();
-  config.hot_threshold = 0;  // isolate failover from hot rotation
-  Fleet fleet(std::move(config));
+  Fleet fleet(fast_config());
   ASSERT_TRUE(fleet.router);
 
   svc::Client client;
@@ -549,7 +539,6 @@ TEST(Router, RelaysDiskHitsByteIdenticallyAfterBackendRestart) {
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
   RouterConfig config = fast_config();
-  config.hot_threshold = 0;        // no replication pushes
   config.health_interval_ms = 0;   // no probe can trip a breaker mid-restart
   config.backend_retries = 2;      // pooled connections to the old
                                    // processes reconnect transparently

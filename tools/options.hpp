@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,22 +15,38 @@ namespace qbss::tools {
 
 /// Parsed command line: `--key value` pairs (a `--flag` before another
 /// option or the end maps to an empty value) plus bare positionals.
+/// Every getter records the key it was asked for, so a command can
+/// reject the options nothing read (a typo, or a removed flag).
 struct Options {
   std::map<std::string, std::string> values;
   std::vector<std::string> positional;
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
+    read_.insert(key);
     const auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
   [[nodiscard]] double number(const std::string& key, double fallback) const {
+    read_.insert(key);
     const auto it = values.find(key);
     return it == values.end() ? fallback : std::stod(it->second);
   }
   [[nodiscard]] bool flag(const std::string& key) const {
+    read_.insert(key);
     return values.count(key) > 0;
   }
+  /// Given options no getter has asked for so far, in name order.
+  [[nodiscard]] std::vector<std::string> unread() const {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : values) {
+      if (read_.count(key) == 0) out.push_back(key);
+    }
+    return out;
+  }
+
+ private:
+  mutable std::set<std::string> read_;
 };
 
 /// Scans argv[first..): `--name [value]` into values, the rest into

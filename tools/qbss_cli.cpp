@@ -109,8 +109,7 @@ int usage() {
                "  bounds [--alpha A]\n"
                "  serve  --socket PATH [--tcp PORT] [--workers N] "
                "[--queue-depth D]\n"
-               "         [--cache N] [--shards S] [--batch K] "
-               "[--delay-ms X]\n"
+               "         [--cache N] [--shards S] [--delay-ms X]\n"
                "         [--read-timeout-ms X] [--write-timeout-ms X] "
                "[--drain-ms X]\n"
                "         [--degraded-ms X] [--faults PLAN] "
@@ -178,9 +177,8 @@ int usage() {
                "                    superseded/corrupt garbage (atomic "
                "manifest swap)\n"
                "  route  --topology FILE --socket PATH [--tcp PORT]\n"
-               "         [--replicas R] [--hot-threshold N] "
-               "[--health-interval-ms X]\n"
-               "         [--breaker-failures N] [--breaker-open-ms X]\n"
+               "         [--health-interval-ms X] [--breaker-failures N] "
+               "[--breaker-open-ms X]\n"
                "         [--backend-timeout-ms X] [--backend-retries N] "
                "[--pool N]\n"
                "         [--read-timeout-ms X] [--write-timeout-ms X]\n"
@@ -193,10 +191,6 @@ int usage() {
                "         \"name addr [weight]\" line per backend; writes\n"
                "         BENCH_route.json at shutdown (--manifest "
                "overrides)\n"
-               "           --replicas R       ring successors hot keys "
-               "replicate to\n"
-               "           --hot-threshold N  hits at which a key turns "
-               "hot (0 = off)\n"
                "  scrape --socket PATH | --tcp PORT [--format "
                "json|prometheus]\n"
                "         [--timeout-ms X] [--backends]\n"
@@ -502,6 +496,18 @@ int setup_host(const Options& opts, const char* command, const char* tag,
   return 0;
 }
 
+/// Rejects every option that neither `command`, setup_host nor main()
+/// has read, before anything binds: a mistyped or removed flag must not
+/// leave a server running without the setting it asked for. 0, or 2
+/// with one message per unknown option.
+int reject_unknown_options(const Options& opts, const char* command) {
+  const std::vector<std::string> unknown = opts.unread();
+  for (const std::string& key : unknown) {
+    std::fprintf(stderr, "%s: unknown option --%s\n", command, key.c_str());
+  }
+  return unknown.empty() ? 0 : 2;
+}
+
 void print_listening(const char* tag, const svc::HostConfig& cfg) {
   if (!cfg.socket_path.empty()) {
     std::fprintf(stderr, "[%s] listening on %s\n", tag,
@@ -523,13 +529,15 @@ int cmd_serve(const Options& opts) {
   cfg.cache_disk_mb = opts.number("cache-disk-mb", 256.0);
   cfg.cache_sync = opts.get("sync", "interval");
   cfg.cache_sync_interval_ms = opts.number("sync-interval-ms", 100.0);
-  cfg.batch = static_cast<std::size_t>(opts.number("batch", 4));
   cfg.delay_ms = opts.number("delay-ms", 0.0);
   cfg.drain_ms = opts.number("drain-ms", 2000.0);
   cfg.degraded_window_ms = opts.number("degraded-ms", 0.0);
   cfg.trace_sample =
       static_cast<std::uint64_t>(opts.number("trace-sample", 16));
   if (const int rc = setup_host(opts, "serve", "svc", &cfg); rc != 0) {
+    return rc;
+  }
+  if (const int rc = reject_unknown_options(opts, "serve"); rc != 0) {
     return rc;
   }
 
@@ -654,9 +662,6 @@ int cmd_route(const Options& opts) {
     std::fprintf(stderr, "route: %s\n", error.c_str());
     return 2;
   }
-  cfg.replicas = static_cast<std::size_t>(opts.number("replicas", 1));
-  cfg.hot_threshold =
-      static_cast<std::uint64_t>(opts.number("hot-threshold", 16));
   cfg.health_interval_ms = opts.number("health-interval-ms", 500.0);
   cfg.breaker_failures =
       static_cast<int>(opts.number("breaker-failures", 3));
@@ -665,6 +670,9 @@ int cmd_route(const Options& opts) {
   cfg.backend_retries = static_cast<int>(opts.number("backend-retries", 2));
   cfg.pool_capacity = static_cast<std::size_t>(opts.number("pool", 8));
   cfg.manifest_extra.emplace_back("topology", topology_path);
+  if (const int rc = reject_unknown_options(opts, "route"); rc != 0) {
+    return rc;
+  }
 
   route::Router router(cfg);
   if (!router.start(&error)) {
@@ -841,12 +849,9 @@ int cmd_top(const Options& opts) {
     if (!have_prev) {
       if (std::string(extra_or(frame->extra, "role", "")) == "route") {
         std::fprintf(stderr,
-                     "[top] connected to router: uptime=%.1fs backends=%s "
-                     "replicas=%s hot_keys=%s\n",
+                     "[top] connected to router: uptime=%.1fs backends=%s\n",
                      frame->uptime_seconds,
-                     extra_or(frame->extra, "backends", "?"),
-                     extra_or(frame->extra, "replicas", "?"),
-                     extra_or(frame->extra, "hot_keys", "?"));
+                     extra_or(frame->extra, "backends", "?"));
       } else {
         std::fprintf(
             stderr,
@@ -1147,11 +1152,11 @@ int cmd_logs(const Options& opts) {
 /// With --manifest FILE the same manifest is also written as JSON —
 /// except for `serve` and `route`, whose Server/Router already wrote a
 /// richer one (config + response counts) to the same path at shutdown.
-void report(const std::string& command, const Options& opts) {
+void report(const std::string& command, const Options& opts, bool quiet) {
   obs::Manifest manifest = obs::current_manifest();
   manifest.threads = common::worker_count();
   manifest.extra.emplace_back("command", command);
-  if (!opts.flag("quiet")) {
+  if (!quiet) {
     std::fprintf(stderr,
                  "[obs] manifest: sha=%s compiler=\"%s\" threads=%zu "
                  "wall=%.3fs obs=%s\n",
@@ -1210,8 +1215,11 @@ int main(int argc, char** argv) {
     return rc;
   }
   tools::apply_thread_override(opts);
+  // Read before dispatch like the other global flags, so serve and route
+  // see it as known when they reject unread options.
+  const bool quiet = opts.flag("quiet");
   const int rc = dispatch(command, opts);
-  report(command, opts);
+  report(command, opts, quiet);
   obs::flush_trace();
   obs::flush_logs();
   return rc;

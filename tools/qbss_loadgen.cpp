@@ -32,8 +32,8 @@
 // endpoints (each in the `unix:PATH` / `host:port` grammar of
 // svc::parse_endpoint) — servers or routers alike. --zipf S swaps the
 // uniform round-robin key mix for a Zipf(S) draw over the pool, so a
-// few keys dominate; that is the knob that exercises a router's hot-key
-// replication (docs/ROUTING.md).
+// few keys dominate; behind a router, their ring owners then take most
+// of the load (docs/ROUTING.md).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -287,8 +287,9 @@ int usage() {
       "  --zipf S          draw pool keys Zipf(S)-skewed instead of "
       "round-robin\n"
       "                    (0 = uniform; ~1 makes a few keys dominate, "
-      "driving a\n"
-      "                    router's hot-key replication)\n"
+      "so behind a\n"
+      "                    router their ring owners take most of the "
+      "load)\n"
       "  --algo A          crcd|crp2d|crad|avrq|bkpq|oaq|avrq_m|opt "
       "(default bkpq)\n"
       "  --alpha X         power exponent (default 3)\n"
