@@ -59,26 +59,17 @@ BENCHMARK(BM_Yds)->RangeMultiplier(2)->Range(8, 4096)->Complexity();
 void BM_DensityScan(benchmark::State& state) {
   // The solver's inner row scan in isolation, at sizes up to n = 1e6
   // (the full general solver is quadratic in events and cannot reach
-  // that; this isolates the per-row cost that SIMD targets). Mode
-  // follows the build: vector kernel when compiled, scalar otherwise.
+  // that; this isolates the per-row cost of the fused kernel).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> work(n), ends(n), used(n), prefix(n), intensity(n);
+  std::vector<double> work(n), ends(n), used(n);
   for (std::size_t i = 0; i < n; ++i) {
     work[i] = 1.0 + 0.001 * static_cast<double>(i % 97);
     ends[i] = 1.0 + static_cast<double>(i);
     used[i] = 0.25 * static_cast<double>(i);
   }
   for (auto _ : state) {
-    scheduling::RowScan row;
-    if (scheduling::density_simd_compiled()) {
-      row = scheduling::density_row_simd(0.0, 0.0, 0.0, work.data(),
-                                         ends.data(), used.data(), 0, n,
-                                         prefix.data(), intensity.data());
-    } else {
-      row = scheduling::density_row_scalar(0.0, 0.0, 0.0, work.data(),
-                                           ends.data(), used.data(), 0, n);
-    }
-    benchmark::DoNotOptimize(row);
+    benchmark::DoNotOptimize(scheduling::density_row(
+        0.0, 0.0, 0.0, work.data(), ends.data(), used.data(), 0, n));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetComplexityN(state.range(0));

@@ -375,6 +375,14 @@ bool within(double ratio, double tol) {
   return ratio >= 1.0 / tol && ratio <= tol;
 }
 
+/// One-sided check for costs (timers, histogram quantiles): above tol
+/// regresses, below 1/tol improves.
+DiffVerdict cost_verdict(double ratio, double tol) {
+  if (ratio > tol) return DiffVerdict::kRegressed;
+  if (ratio < 1.0 / tol) return DiffVerdict::kImproved;
+  return DiffVerdict::kOk;
+}
+
 }  // namespace
 
 std::optional<ManifestData> parse_manifest_json(const std::string& text,
@@ -524,10 +532,8 @@ DiffReport diff_manifests(const ManifestData& baseline,
       diff.verdict = DiffVerdict::kAdded;
     } else if (cand_calls == 0.0) {
       diff.verdict = DiffVerdict::kRemoved;
-    } else if (diff.ratio > options.timer_ratio_tol) {
-      diff.verdict = DiffVerdict::kRegressed;
-    } else if (diff.ratio < 1.0 / options.timer_ratio_tol) {
-      diff.verdict = DiffVerdict::kImproved;
+    } else {
+      diff.verdict = cost_verdict(diff.ratio, options.timer_ratio_tol);
     }
     push(std::move(diff));
   }
@@ -605,8 +611,8 @@ DiffReport diff_manifests(const ManifestData& baseline,
         diff.verdict = DiffVerdict::kRemoved;
       } else if (field.baseline == 0.0 && field.candidate == 0.0) {
         diff.verdict = DiffVerdict::kOk;
-      } else if (!within(diff.ratio, options.hist_ratio_tol)) {
-        diff.verdict = DiffVerdict::kRegressed;
+      } else {
+        diff.verdict = cost_verdict(diff.ratio, options.hist_ratio_tol);
       }
       push(std::move(diff));
     }

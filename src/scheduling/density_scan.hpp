@@ -1,28 +1,21 @@
-// Density-scan kernels for the event-grid YDS critical-interval search.
+// Density-scan kernel for the event-grid YDS critical-interval search.
 //
 // For one row of the event grid (a fixed candidate start t1 = starts[si]),
 // the solver evaluates every candidate end t2 = ends[ej] with ej in
 // [begin, count): the work released at or after t1 and due at or before
 // t2 is a prefix sum over the deadline-rank histogram `work_at_rank`, the
 // available time is the candidate span minus the already-scheduled
-// occupancy, and the winner is the maximum of work/available. These
-// kernels are the solver's innermost loop — everything else in a round
-// is O(S log S) setup around them.
+// occupancy, and the winner is the maximum of work/available. This
+// kernel is the solver's innermost loop — everything else in a round is
+// O(S log S) setup around it.
 //
-// Two implementations, byte-identical by construction:
+// One fused pass accumulates the prefix sum and compares intensities in
+// the same loop. The prefix sum must stay sequential (FP addition is not
+// reassociable), so only the divide and max could vectorize; an explicit
+// AVX2/NEON kernel for them measured slower than this loop
+// (docs/PERFORMANCE.md "Prove or remove").
 //
-//  * density_row_scalar — single fused pass: accumulates the prefix sum
-//    and compares intensities in the same loop. This is the default.
-//  * density_row_simd   — three passes over arena scratch: a sequential
-//    prefix fill (FP addition is not reassociable, so this part cannot
-//    vectorize without changing results), a vectorized
-//    subtract/subtract/divide/max pass (every op is lane-wise IEEE,
-//    bit-identical to scalar), and a short scalar sweep locating the
-//    FIRST index attaining the max so the tie-break (smallest t2)
-//    matches the scalar kernel exactly. Falls back to the scalar kernel
-//    when the build has no SIMD (QBSS_SIMD off, or unknown ISA).
-//
-// Both kernels assume the caller has arranged that every candidate in
+// The kernel assumes the caller has arranged that every candidate in
 // [begin, count) is admissible: ends[ej] > t1 and the prefix sum is
 // strictly positive from `begin` on (the sweep in yds.cpp guarantees
 // this by starting at max(first end > t1, lowest populated rank)).
@@ -31,7 +24,6 @@
 #include <cstddef>
 
 #include "common/check.hpp"
-#include "common/simd.hpp"
 
 namespace qbss::scheduling {
 
@@ -44,14 +36,13 @@ struct RowScan {
   std::size_t index = 0;
 };
 
-/// Fused scalar kernel. `running` must be the sequential prefix sum of
+/// Fused kernel. `running` must be the sequential prefix sum of
 /// work_at_rank[0, begin) — the kernel continues that accumulation, so
 /// the prefix values match a from-zero rebuild bit for bit.
-inline RowScan density_row_scalar(double running, double t1, double used_at_t1,
-                                  const double* work_at_rank,
-                                  const double* ends,
-                                  const double* used_at_end,
-                                  std::size_t begin, std::size_t count) {
+inline RowScan density_row(double running, double t1, double used_at_t1,
+                           const double* work_at_rank, const double* ends,
+                           const double* used_at_end, std::size_t begin,
+                           std::size_t count) {
   RowScan best;
   for (std::size_t ej = begin; ej < count; ++ej) {
     running += work_at_rank[ej];
@@ -66,69 +57,6 @@ inline RowScan density_row_scalar(double running, double t1, double used_at_t1,
     }
   }
   return best;
-}
-
-/// Vectorized kernel. `prefix` and `intensity` are caller-provided
-/// scratch of at least `count` doubles (arena-backed in the solver).
-/// Byte-identical to density_row_scalar; see the file comment for why.
-inline RowScan density_row_simd(double running, double t1, double used_at_t1,
-                                const double* work_at_rank,
-                                const double* ends,
-                                const double* used_at_end,
-                                std::size_t begin, std::size_t count,
-                                double* prefix, double* intensity) {
-#if QBSS_SIMD_ENABLED
-  if (begin >= count) return RowScan{};
-  // Pass 1: sequential prefix fill (same accumulation order as scalar).
-  for (std::size_t ej = begin; ej < count; ++ej) {
-    running += work_at_rank[ej];
-    prefix[ej] = running;
-  }
-  // Pass 2: lane-wise (ends - t1) - (used_at_end - used_at_t1), then
-  // prefix / avail, tracking the vector max.
-  namespace v = qbss::simd;
-  const v::VecD vt1 = v::broadcast(t1);
-  const v::VecD vus = v::broadcast(used_at_t1);
-  v::VecD vmax = v::broadcast(-1.0);
-  std::size_t ej = begin;
-  for (; ej + v::kLanes <= count; ej += v::kLanes) {
-    const v::VecD avail =
-        v::sub(v::sub(v::load(ends + ej), vt1), v::sub(v::load(used_at_end + ej), vus));
-    const v::VecD inten = v::div(v::load(prefix + ej), avail);
-    v::store(intensity + ej, inten);
-    vmax = v::max(vmax, inten);
-  }
-  double best = v::hmax(vmax);
-  for (; ej < count; ++ej) {
-    const double avail = (ends[ej] - t1) - (used_at_end[ej] - used_at_t1);
-    const double inten = prefix[ej] / avail;
-    intensity[ej] = inten;
-    best = best < inten ? inten : best;
-  }
-  // Pass 3: first index attaining the max — matches the scalar kernel's
-  // keep-first tie-break. Equal doubles are bitwise-equal here (all
-  // intensities are positive; -0.0/NaN cannot reach the max).
-  std::size_t at = begin;
-  while (intensity[at] != best) ++at;
-  // The scalar kernel asserts availability per candidate; here infeasible
-  // occupancy would surface as a +/-inf or negative max, so asserting the
-  // winner is the equivalent guard.
-  const double win_avail = (ends[at] - t1) - (used_at_end[at] - used_at_t1);
-  QBSS_ENSURES(win_avail > 0.0);
-  return RowScan{best, at};
-#else
-  (void)prefix;
-  (void)intensity;
-  return density_row_scalar(running, t1, used_at_t1, work_at_rank, ends,
-                            used_at_end, begin, count);
-#endif
-}
-
-/// True when this build contains the vector kernel (QBSS_SIMD on and the
-/// target ISA is supported). When false, density_row_simd silently
-/// delegates to the scalar kernel.
-[[nodiscard]] constexpr bool density_simd_compiled() noexcept {
-  return QBSS_SIMD_ENABLED != 0;
 }
 
 }  // namespace qbss::scheduling

@@ -6,7 +6,7 @@
 // all deadlines, then all works, and AoS strides waste two thirds of
 // every cache line. SoaInstance copies the three fields once into
 // contiguous arena-backed arrays; the solver then iterates each array
-// linearly (and the SIMD density scan loads them directly).
+// linearly.
 //
 // The view borrows its storage from a SolveArena: it is valid until the
 // arena is reset or released, costs one bulk copy to build, and frees

@@ -1,7 +1,6 @@
 #include "scheduling/yds.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -15,12 +14,6 @@
 namespace qbss::scheduling {
 
 namespace {
-
-std::atomic<ScanMode> g_scan_mode{ScanMode::kAuto};
-
-/// Rows shorter than this stay scalar under kAuto: the vector kernel's
-/// extra passes over scratch only pay off once the divisions dominate.
-constexpr std::size_t kSimdRowThreshold = 32;
 
 /// One critical-interval selection round. Candidate intervals run from a
 /// release time to a deadline of the remaining jobs; intensity counts only
@@ -93,8 +86,6 @@ struct FastWorkspace {
   double* work_at_rank = nullptr;    ///< work keyed by deadline rank
   double* used_at_start = nullptr;   ///< used-measure of (-inf, t] per start
   double* used_at_end = nullptr;     ///< same per end
-  double* prefix = nullptr;          ///< SIMD kernel scratch
-  double* intensity = nullptr;       ///< SIMD kernel scratch
   std::uint32_t* contained = nullptr;  ///< the winning round's job set
 
   FastWorkspace(const Instance& instance, SolveArena& arena)
@@ -108,8 +99,6 @@ struct FastWorkspace {
     work_at_rank = arena.alloc<double>(n);
     used_at_start = arena.alloc<double>(n);
     used_at_end = arena.alloc<double>(n);
-    prefix = arena.alloc<double>(n);
-    intensity = arena.alloc<double>(n);
     contained = arena.alloc<std::uint32_t>(n);
   }
 };
@@ -183,11 +172,6 @@ FastCritical find_critical_fast(FastWorkspace& ws, const IntervalSet& used) {
   cumulative_used(used, ws.ends, e_count, ws.used_at_end);
   std::fill_n(ws.work_at_rank, e_count, 0.0);
 
-  const ScanMode mode = yds_scan_mode();
-  const bool simd_allowed =
-      density_simd_compiled() && mode != ScanMode::kScalar;
-  const std::size_t simd_min = mode == ScanMode::kSimd ? 0 : kSimdRowThreshold;
-
   FastCritical best;
   std::size_t next = 0;  // cursor into by_release
   std::size_t min_rank = e_count;  // lowest deadline rank entered so far
@@ -202,16 +186,10 @@ FastCritical find_critical_fast(FastWorkspace& ws, const IntervalSet& used) {
       min_rank = r < min_rank ? r : min_rank;
       ++next;
     }
-    const std::size_t row_len = e_count - min_rank;
-    scanned += row_len;
+    scanned += e_count - min_rank;
     const RowScan row =
-        simd_allowed && row_len >= simd_min
-            ? density_row_simd(0.0, t1, ws.used_at_start[si], ws.work_at_rank,
-                               ws.ends, ws.used_at_end, min_rank, e_count,
-                               ws.prefix, ws.intensity)
-            : density_row_scalar(0.0, t1, ws.used_at_start[si],
-                                 ws.work_at_rank, ws.ends, ws.used_at_end,
-                                 min_rank, e_count);
+        density_row(0.0, t1, ws.used_at_start[si], ws.work_at_rank, ws.ends,
+                    ws.used_at_end, min_rank, e_count);
     // Ties resolve to the lexicographically smallest (t1, t2), matching the
     // reference scan order: the kernel keeps the smallest t2 in-row, and t1
     // strictly decreases across rows, so >= prefers the later (smaller) t1.
@@ -295,11 +273,12 @@ Schedule yds_peel(const Instance& instance, FindCritical&& find) {
   return std::move(builder).build();
 }
 
-/// Fast peeling loop: SoA view + arena scratch + density-scan kernels.
-/// Selects the same critical intervals (same tie-breaks, same FP
-/// operation order candidate-for-candidate) as the reference loop, so the
-/// schedules are byte-identical — tests/test_perf_core.cpp asserts this
-/// across every generator family.
+/// Fast peeling loop: SoA view + arena scratch + the density-scan kernel.
+/// Selects the reference loop's critical intervals with the same
+/// tie-breaks; it sums contained work in deadline-rank order rather than
+/// job order, so intensities can differ in the last bit, and
+/// tests/test_perf_core.cpp checks the speed profile and energy against
+/// the reference across every generator family.
 Schedule yds_fast(const Instance& instance) {
   // The thread arena is rewound at entry: blocks persist across solves,
   // so a warm thread performs zero heap allocations here. yds() must not
@@ -359,15 +338,7 @@ Schedule yds_fast(const Instance& instance) {
 
 }  // namespace
 
-void set_yds_scan_mode(ScanMode mode) {
-  g_scan_mode.store(mode, std::memory_order_relaxed);
-}
-
-ScanMode yds_scan_mode() {
-  return g_scan_mode.load(std::memory_order_relaxed);
-}
-
-bool yds_simd_compiled() { return density_simd_compiled(); }
+bool yds_simd_compiled() { return false; }
 
 Schedule yds(const Instance& instance) {
   QBSS_SPAN("yds.solve");

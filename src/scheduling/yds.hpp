@@ -34,20 +34,9 @@ namespace qbss::scheduling {
 /// Precondition: instance jobs are valid (enforced by Instance).
 [[nodiscard]] Schedule yds(const Instance& instance);
 
-/// Which density-scan kernel the solver uses. kAuto picks the SIMD
-/// kernel for long rows when the build compiled it (-DQBSS_SIMD=ON on a
-/// supported ISA) and the fused scalar kernel otherwise; kScalar and
-/// kSimd force one kernel for differential testing. Both kernels produce
-/// byte-identical schedules, so the mode never changes results — only
-/// which instructions compute them.
-enum class ScanMode { kAuto, kScalar, kSimd };
-
-/// Sets the process-wide density-scan mode (thread-safe; test support).
-void set_yds_scan_mode(ScanMode mode);
-[[nodiscard]] ScanMode yds_scan_mode();
-
-/// True when this binary contains the vector kernel. When false, kSimd
-/// silently behaves like kScalar.
+/// Always false: the explicit SIMD density-scan kernel is gone. Kept only
+/// because the benchmark (qbench/src/main.cpp) prints it; drop it with
+/// that field in the next change to the benchmark.
 [[nodiscard]] bool yds_simd_compiled();
 
 /// The original direct-scan solver (O(n) containment recount per candidate

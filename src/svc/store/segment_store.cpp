@@ -285,14 +285,26 @@ bool SegmentStore::open(StoreConfig config, RecoveryStats* stats,
     ::unlink((config_.dir + "/" + name).c_str());
   }
 
-  // Scan every named segment in age order; later records win the index.
-  for (std::size_t i = 0; i < names.size(); ++i) {
+  // Each segment id once: a damaged manifest can list a segment twice,
+  // and reads find a segment by id, so records appended to the second
+  // entry would be looked up in the first.
+  std::vector<std::pair<std::uint64_t, std::string>> listed;
+  for (const std::string& name : names) {
     std::uint64_t id = 0;
-    if (!parse_segment_name(names[i], &id)) continue;
+    if (!parse_segment_name(name, &id)) continue;
+    if (std::none_of(listed.begin(), listed.end(),
+                     [id](const auto& entry) { return entry.first == id; })) {
+      listed.emplace_back(id, name);
+    }
+  }
+
+  // Scan every listed segment in age order; later records win the index.
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    const auto& [id, name] = listed[i];
     Segment seg;
     seg.id = id;
-    seg.path = config_.dir + "/" + names[i];
-    const bool newest = i + 1 == names.size();
+    seg.path = config_.dir + "/" + name;
+    const bool newest = i + 1 == listed.size();
     if (!scan_segment_locked(seg, newest, &recovered, error)) {
       release_locked();
       return false;

@@ -1,7 +1,8 @@
 // Tests for obs::diff — the manifest regression gate: JSON round-trip
 // through io::write_json_manifest, identical manifests pass, an inflated
-// timer fails and names the metric, counter drift and histogram tail
-// shifts are caught, the median-of-N reduction absorbs one noisy outlier,
+// timer fails and names the metric, counter drift and an upward
+// histogram tail shift are caught (a downward one is an improvement),
+// the median-of-N reduction absorbs one noisy outlier,
 // and both report writers emit well-formed output.
 #include "obs/diff.hpp"
 
@@ -155,6 +156,22 @@ TEST(ObsDiff, HistogramTailShiftRegresses) {
     }
   }
   EXPECT_TRUE(named);
+}
+
+TEST(ObsDiff, HistogramTailShiftDownIsAnImprovement) {
+  const ManifestData base = parse_or_die(manifest_text(5'000'000, 40, 8.0));
+  const ManifestData cand = parse_or_die(manifest_text(5'000'000, 40, 0.8));
+  const DiffReport report = diff_manifests(base, cand);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.regressions, 0);
+  bool improved = false;
+  for (const MetricDiff& m : report.metrics) {
+    if (m.name == "harness.energy_ratio p99") {
+      EXPECT_EQ(m.verdict, DiffVerdict::kImproved);
+      improved = true;
+    }
+  }
+  EXPECT_TRUE(improved);
 }
 
 TEST(ObsDiff, NoiseFloorSkipsTinyTimersButNotInflatedOnes) {

@@ -1,11 +1,10 @@
 // Perf-core invariants: the SolveArena allocator, the SoA instance view,
-// and — most importantly — byte-identity of the rebuilt solver hot path.
-// The SoA/arena/fused-scan solver (and, when compiled, the SIMD density
-// kernel) must produce schedules bit-for-bit equal to the reference
-// scan across every generator family, including denormal and -0.0 job
-// values; and a warm solve — one instance repeated, or a loop over many —
-// must touch the heap zero times (asserted through the arena growth
-// counters).
+// and — most importantly — agreement of the rebuilt solver hot path with
+// the reference. The SoA/arena/fused-scan solver must produce the
+// reference scan's speed profile and energy across every generator
+// family, including denormal and -0.0 job values; and a warm solve — one
+// instance repeated, or a loop over many — must touch the heap zero
+// times (asserted through the arena growth counters).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,7 +18,6 @@
 #include "obs/registry.hpp"
 #include "qbss/transform.hpp"
 #include "scheduling/arena.hpp"
-#include "scheduling/density_scan.hpp"
 #include "scheduling/soa.hpp"
 #include "scheduling/yds.hpp"
 
@@ -27,31 +25,6 @@ namespace qbss::scheduling {
 namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Bitwise step-function equality: same pieces, same bit patterns.
-void expect_bits_equal(const StepFunction& a, const StepFunction& b,
-                       const char* what) {
-  ASSERT_EQ(a.pieces().size(), b.pieces().size()) << what;
-  for (std::size_t i = 0; i < a.pieces().size(); ++i) {
-    const Segment& x = a.pieces()[i];
-    const Segment& y = b.pieces()[i];
-    EXPECT_EQ(bits(x.span.begin), bits(y.span.begin)) << what << " piece " << i;
-    EXPECT_EQ(bits(x.span.end), bits(y.span.end)) << what << " piece " << i;
-    EXPECT_EQ(bits(x.value), bits(y.value)) << what << " piece " << i;
-  }
-}
-
-/// Bitwise schedule equality — stronger than tolerance comparison; this
-/// is the contract the production paths (scalar/SIMD) promise among
-/// themselves.
-void expect_bit_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.job_count(), b.job_count());
-  expect_bits_equal(a.speed(), b.speed(), "speed");
-  for (std::size_t j = 0; j < a.job_count(); ++j) {
-    expect_bits_equal(a.rate(static_cast<JobId>(j)),
-                      b.rate(static_cast<JobId>(j)), "rate");
-  }
-}
 
 /// Equality of everything that is UNIQUE about a YDS solution, to a
 /// tight tolerance. Used against the brute-force reference: its
@@ -61,9 +34,7 @@ void expect_bit_identical(const Schedule& a, const Schedule& b) {
 /// intensities differ by 1 ULP. That changes the piece list and — via
 /// the per-round EDF regrouping — which of several same-deadline jobs
 /// absorbs which slice, but the optimal speed profile and the energy
-/// are unique, so those are the meaningful contract here. Bit-identity
-/// (including per-job rates) is asserted separately among the
-/// production paths, which share one summation order.
+/// are unique, so those are the meaningful contract here.
 void expect_near_identical(const Schedule& a, const Schedule& b) {
   constexpr double kTol = 1e-9;
   ASSERT_EQ(a.job_count(), b.job_count());
@@ -114,17 +85,6 @@ Instance denormal_instance() {
   inst.add(-0.0, 2.5, 1.0 / 3.0);
   return inst;
 }
-
-class ScanModeGuard {
- public:
-  explicit ScanModeGuard(ScanMode mode) : prev_(yds_scan_mode()) {
-    set_yds_scan_mode(mode);
-  }
-  ~ScanModeGuard() { set_yds_scan_mode(prev_); }
-
- private:
-  ScanMode prev_;
-};
 
 TEST(SolveArena, AlignsAndGrowsThenReusesWithoutGrowth) {
   SolveArena arena;
@@ -181,7 +141,6 @@ TEST(SoaInstance, MirrorsJobFieldsBitExactly) {
 }
 
 TEST(YdsDifferential, SoaPathMatchesReferenceAcrossAllFamilies) {
-  const ScanModeGuard guard(ScanMode::kScalar);
   const std::vector<Instance> instances = family_instances();
   for (std::size_t f = 0; f < instances.size(); ++f) {
     SCOPED_TRACE("family " + std::to_string(f));
@@ -192,40 +151,10 @@ TEST(YdsDifferential, SoaPathMatchesReferenceAcrossAllFamilies) {
   }
 }
 
-TEST(YdsDifferential, SimdMatchesScalarAcrossAllFamilies) {
-  // On a build without -DQBSS_SIMD=ON, kSimd falls back to the scalar
-  // kernel and this degenerates to a self-comparison; the SIMD CI job
-  // runs it with the vector kernel compiled in.
-  for (const Instance& inst : family_instances()) {
-    Schedule scalar;
-    Schedule simd;
-    {
-      const ScanModeGuard guard(ScanMode::kScalar);
-      scalar = yds(inst);
-    }
-    {
-      const ScanModeGuard guard(ScanMode::kSimd);
-      simd = yds(inst);
-    }
-    expect_bit_identical(scalar, simd);
-  }
-}
-
 TEST(YdsDifferential, DenormalAndNegativeZeroValues) {
   const Instance inst = denormal_instance();
   expect_near_identical(yds(inst), yds_reference(inst));
   EXPECT_TRUE(validate(inst, yds(inst)).feasible);
-  Schedule scalar;
-  Schedule simd;
-  {
-    const ScanModeGuard guard(ScanMode::kScalar);
-    scalar = yds(inst);
-  }
-  {
-    const ScanModeGuard guard(ScanMode::kSimd);
-    simd = yds(inst);
-  }
-  expect_bit_identical(scalar, simd);
 }
 
 std::uint64_t counter_value(const char* name) {
@@ -261,14 +190,6 @@ TEST(ZeroAlloc, LoopOfSolvesSharesOneWarmArena) {
   const std::uint64_t growths = solve_arena().growths();
   for (const Instance& inst : instances) static_cast<void>(yds(inst));
   EXPECT_EQ(solve_arena().growths(), growths);
-}
-
-TEST(DensityScan, SimdAvailabilityMatchesBuildFlag) {
-#if QBSS_SIMD_ENABLED
-  EXPECT_TRUE(yds_simd_compiled());
-#else
-  EXPECT_FALSE(yds_simd_compiled());
-#endif
 }
 
 }  // namespace

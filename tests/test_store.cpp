@@ -4,7 +4,8 @@
 // unlisted-file sweeps), segment rotation, the byte-budget drop policy,
 // compaction of superseded garbage, write-behind persistence with disk
 // promotion, a warm restart through the full server serving
-// byte-identical disk hits, and the `at=store` fault-injection sites.
+// byte-identical disk hits, the `at=store` fault-injection sites, and a
+// seeded mutation fuzzer over segment files and the MANIFEST.
 #include "svc/store/crc32c.hpp"
 #include "svc/store/segment_store.hpp"
 
@@ -15,11 +16,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/xoshiro.hpp"
 #include "faults/faults.hpp"
 #include "gen/random_instances.hpp"
 #include "svc/cache.hpp"
@@ -41,17 +44,8 @@ struct TempDir {
   }
   ~TempDir() { remove_all(); }
   void remove_all() const {
-    for (const char* name :
-         {"MANIFEST", "MANIFEST.qtmp", "stray.tmp"}) {
-      std::remove((path + "/" + name).c_str());
-    }
-    for (std::uint64_t id = 1; id <= 64; ++id) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "seg-%08llu.qseg",
-                    static_cast<unsigned long long>(id));
-      std::remove((path + "/" + buf).c_str());
-    }
-    ::rmdir(path.c_str());
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
   }
   std::string path;
 };
@@ -319,6 +313,38 @@ TEST(SegmentStore, MissingManifestIsRebuiltFromSegments) {
   EXPECT_FALSE(second.manifest_rebuilt);
 }
 
+TEST(SegmentStore, ManifestListingASegmentTwiceStillServesNewAppends) {
+  // Found by the mutation fuzzer below. The store must index a segment
+  // the manifest names twice once: a second entry with the same id would
+  // take the appends while reads look up the first, so a record appended
+  // after the reopen would read as a miss.
+  TempDir dir("dup-listing");
+  StoreConfig config;
+  config.dir = dir.path;
+  {
+    SegmentStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(config, nullptr, &error)) << error;
+    ASSERT_TRUE(store.append("old", "old-payload", &error)) << error;
+    store.close();
+  }
+  write_file(dir.path + "/MANIFEST",
+             "qbss-store/1\nnext 2\nseg seg-00000001.qseg\n"
+             "seg seg-00000001.qseg\n");
+  SegmentStore store;
+  RecoveryStats recovery;
+  std::string error;
+  ASSERT_TRUE(store.open(config, &recovery, &error)) << error;
+  EXPECT_EQ(recovery.segments, 1u);
+  ASSERT_TRUE(store.append("new", "new-payload", &error)) << error;
+  const StorePayloadPtr old_hit = store.find("old");
+  ASSERT_TRUE(old_hit);
+  EXPECT_EQ(*old_hit, "old-payload");
+  const StorePayloadPtr new_hit = store.find("new");
+  ASSERT_TRUE(new_hit);
+  EXPECT_EQ(*new_hit, "new-payload");
+}
+
 TEST(SegmentStore, SweepsUnlistedSegmentsAndStrayFiles) {
   TempDir dir("sweep");
   StoreConfig config;
@@ -536,6 +562,119 @@ TEST(SegmentStore, RecordsAppendedBeforeSyncSurviveAReopen) {
     const StorePayloadPtr hit = reopened.find(numbered("k", i));
     ASSERT_TRUE(hit) << i;
     EXPECT_EQ(*hit, payload);
+  }
+}
+
+/// One seeded mutation of a file's bytes: a bit flip, a byte overwrite,
+/// a truncation, or the insertion or deletion of a run of bytes. An
+/// inserted run is either random or copied from elsewhere in the same
+/// file, which plants duplicate headers and records. Overwrites favour
+/// the MANIFEST's own characters, so segment names and ids change.
+void mutate(std::string& bytes, Xoshiro256& rng) {
+  static constexpr char kGrammar[] = "0123456789\nseg-.q ";
+  const auto byte = [&rng] {
+    return rng.chance(0.5) ? static_cast<char>(rng() & 0xff)
+                           : kGrammar[rng.below(sizeof kGrammar - 1)];
+  };
+  const std::size_t at = bytes.empty() ? 0 : rng.below(bytes.size());
+  switch (rng.below(5)) {
+    case 0:  // bit flip
+      if (!bytes.empty()) {
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.below(8)));
+      }
+      break;
+    case 1:  // byte overwrite
+      if (!bytes.empty()) bytes[at] = byte();
+      break;
+    case 2:  // truncation
+      bytes.resize(at);
+      break;
+    case 3: {  // insertion of a run
+      std::string run;
+      if (!bytes.empty() && rng.chance(0.5)) {
+        run = bytes.substr(rng.below(bytes.size()), 1 + rng.below(256));
+      } else {
+        run.resize(1 + rng.below(32));
+        for (char& c : run) c = byte();
+      }
+      bytes.insert(at, run);
+      break;
+    }
+    default:  // deletion of a run
+      bytes.erase(at, 1 + rng.below(64));
+      break;
+  }
+}
+
+TEST(SegmentStore, SeededMutationsNeverYieldAWrongPayload) {
+  // 64 records across several sealed segments, then 2,000 damaged
+  // copies of the directory, each with 1-4 mutations in one segment file
+  // or the MANIFEST. Every open must succeed (the store fails open),
+  // every find must return nullptr or the exact bytes appended for its
+  // key, a record in an undamaged segment must survive, and the
+  // recovered store must still take an append.
+  TempDir source("fuzz-source");
+  TempDir work("fuzz-work");
+  StoreConfig config;
+  config.dir = source.path;
+  config.segment_bytes = 4096;  // the clamp floor — rotate fast
+  Xoshiro256 rng(0x5eed'5703);  // fixed seed: every case replays exactly
+  std::vector<std::string> keys;
+  std::vector<std::string> payloads;
+  std::vector<std::uint64_t> home;  // id of the segment holding each record
+  std::uint64_t segments = 0;
+  {
+    SegmentStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(config, nullptr, &error)) << error;
+    for (int i = 0; i < 64; ++i) {
+      std::string payload(150 + rng.below(150), '\0');
+      for (char& c : payload) c = static_cast<char>(rng() & 0xff);
+      home.push_back(store.stats().segments);  // ids run 1..n, newest active
+      keys.push_back(numbered("fuzz-key-", i));
+      payloads.push_back(std::move(payload));
+      ASSERT_TRUE(store.append(keys.back(), payloads.back(), &error))
+          << error;
+    }
+    segments = store.stats().segments;
+    store.close();
+  }
+  ASSERT_GE(segments, 4u) << "want at least three sealed segments";
+  for (std::uint64_t id = 1; id <= segments; ++id) {
+    ASSERT_TRUE(std::filesystem::exists(seg_path(source, id))) << id;
+  }
+
+  config.dir = work.path;
+  for (int c = 0; c < 2000; ++c) {
+    work.remove_all();
+    std::filesystem::copy(source.path, work.path);
+    const std::uint64_t target = rng.below(segments + 1);  // 0: MANIFEST
+    const std::string path =
+        target == 0 ? work.path + "/MANIFEST" : seg_path(work, target);
+    std::string bytes = read_file(path);
+    const std::uint64_t mutations = 1 + rng.below(4);
+    for (std::uint64_t m = 0; m < mutations; ++m) mutate(bytes, rng);
+    write_file(path, bytes);
+
+    SegmentStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(config, nullptr, &error))
+        << "case " << c << ": " << error;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const StorePayloadPtr hit = store.find(keys[k]);
+      if (hit) {
+        ASSERT_EQ(*hit, payloads[k]) << "case " << c << " " << keys[k];
+      } else {
+        ASSERT_TRUE(target == 0 || home[k] == target)
+            << "case " << c << ": " << keys[k] << " lost from undamaged "
+            << "segment " << home[k];
+      }
+    }
+    ASSERT_TRUE(store.append("fuzz-fresh", "fresh", &error))
+        << "case " << c << ": " << error;
+    const StorePayloadPtr fresh = store.find("fuzz-fresh");
+    ASSERT_TRUE(fresh) << "case " << c;
+    ASSERT_EQ(*fresh, "fresh") << "case " << c;
   }
 }
 

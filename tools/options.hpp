@@ -5,13 +5,22 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/parallel_for.hpp"
+#include "io/format.hpp"
 #include "obs/log.hpp"
 
 namespace qbss::tools {
+
+/// Thrown by Options::number for a flag given without a value or with
+/// one that is not a number. Each tool's main catches it and exits 2
+/// with its message.
+struct BadNumber : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Parsed command line: `--key value` pairs (a `--flag` before another
 /// option or the end maps to an empty value) plus bare positionals.
@@ -27,10 +36,18 @@ struct Options {
     const auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
+  /// The value of `--key` as a number (io::parse_number's grammar), or
+  /// `fallback` when the flag is absent. Throws BadNumber otherwise.
   [[nodiscard]] double number(const std::string& key, double fallback) const {
     read_.insert(key);
     const auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
+    if (it == values.end()) return fallback;
+    double value = 0.0;
+    if (!io::parse_number(it->second, &value)) {
+      throw BadNumber("--" + key + " needs a number, got \"" + it->second +
+                      "\"");
+    }
+    return value;
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     read_.insert(key);
@@ -134,15 +151,9 @@ inline int apply_log_options(const Options& opts, const char* tool) {
 }
 
 /// Applies the global `--threads N` override (wins over `QBSS_THREADS`);
-/// non-numeric or non-positive values are ignored.
+/// non-positive values are ignored, and a non-number throws BadNumber.
 inline void apply_thread_override(const Options& opts) {
-  if (!opts.flag("threads")) return;
-  double n = 0.0;
-  try {
-    n = opts.number("threads", 0.0);
-  } catch (...) {
-    return;
-  }
+  const double n = opts.number("threads", 0.0);
   if (n >= 1.0) {
     common::set_worker_count(static_cast<std::size_t>(n));
   }

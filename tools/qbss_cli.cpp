@@ -1204,7 +1204,7 @@ int dispatch(const std::string& command, const Options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Options opts = parse_options(argc, argv, 2);
@@ -1223,4 +1223,7 @@ int main(int argc, char** argv) {
   obs::flush_trace();
   obs::flush_logs();
   return rc;
+} catch (const tools::BadNumber& error) {
+  std::fprintf(stderr, "qbss: %s\n", error.what());
+  return 2;
 }

@@ -327,7 +327,7 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = tools::parse_options(argc, argv, 1);
   if (const int rc = tools::apply_log_options(opts, "qbss-loadgen");
       rc != 0) {
@@ -389,6 +389,8 @@ int main(int argc, char** argv) {
     state.pool.push_back(std::move(request));
   }
   const double zipf_s = opts.number("zipf", 0.0);
+  // Read up front so a malformed value fails before any load is sent.
+  const double expect_qps = opts.number("expect-qps", 0.0);
   if (zipf_s > 0.0) {
     double total = 0.0;
     state.zipf_cdf.reserve(state.pool.size());
@@ -642,8 +644,7 @@ int main(int argc, char** argv) {
                  "active?), got none\n");
     failed = true;
   }
-  if (const double expect_qps = opts.number("expect-qps", 0.0);
-      expect_qps > 0.0 && achieved_qps < expect_qps) {
+  if (expect_qps > 0.0 && achieved_qps < expect_qps) {
     std::fprintf(stderr,
                  "qbss-loadgen: expected >= %.1f req/s, achieved %.1f\n",
                  expect_qps, achieved_qps);
@@ -651,4 +652,7 @@ int main(int argc, char** argv) {
   }
   obs::flush_logs();
   return failed ? 1 : 0;
+} catch (const tools::BadNumber& error) {
+  std::fprintf(stderr, "qbss-loadgen: %s\n", error.what());
+  return 2;
 }
