@@ -65,7 +65,8 @@ struct Family {
 
 /// The process-wide clairvoyant memo: the alpha loops of every bench
 /// revisit the same (family, seed) instances, so each YDS optimum is
-/// solved exactly once per binary.
+/// solved, and each plain-function algorithm run and validated, exactly
+/// once per instance per binary.
 inline analysis::ClairvoyantCache& clairvoyant_cache() {
   static analysis::ClairvoyantCache cache;
   return cache;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <iterator>
 
 #include "common/parallel_for.hpp"
 #include "obs/histogram.hpp"
@@ -12,26 +14,43 @@ namespace qbss::analysis {
 
 namespace {
 
-Measurement measure_against(const core::QInstance& instance,
-                            const SingleAlgorithm& algorithm, double alpha,
-                            const scheduling::Schedule& opt) {
-  QBSS_SPAN("harness.measure");
+/// Every ratio of a measurement, from the profiles it reads.
+Measurement ratios(const SpeedProfile& opt, const RunProfile& run,
+                   double alpha) {
   const Energy opt_energy = opt.energy(alpha);
   const Speed opt_speed = opt.max_speed();
   QBSS_EXPECTS(opt_energy > 0.0 && opt_speed > 0.0);
 
-  const core::QbssRun run = algorithm(instance);
-
+  // A run without a nominal profile of its own is its executed profile.
+  const Energy energy = run.executed.energy(alpha);
+  const Energy nominal_energy =
+      run.nominal ? run.nominal->energy(alpha) : energy;
+  const Speed speed = run.executed.max_speed();
+  const Speed nominal_speed = run.nominal ? run.nominal->max_speed() : speed;
   Measurement m;
-  m.energy_ratio = run.energy(alpha) / opt_energy;
-  m.nominal_energy_ratio = run.nominal_energy(alpha) / opt_energy;
-  m.speed_ratio = run.max_speed() / opt_speed;
-  m.nominal_speed_ratio = run.nominal_max_speed() / opt_speed;
-  m.feasible = run.feasible && core::validate_run(instance, run).feasible;
+  m.energy_ratio = energy / opt_energy;
+  m.nominal_energy_ratio = nominal_energy / opt_energy;
+  m.speed_ratio = speed / opt_speed;
+  m.nominal_speed_ratio = nominal_speed / opt_speed;
+  m.feasible = run.feasible;
   QBSS_HIST("harness.energy_ratio", m.energy_ratio);
   QBSS_HIST("harness.speed_ratio", m.speed_ratio);
-  QBSS_HIST("harness.peak_speed", run.max_speed());
+  QBSS_HIST("harness.peak_speed", speed);
   return m;
+}
+
+/// Runs and validates `algorithm` once, keeping what measurements read.
+RunProfile profile_run(const core::QInstance& instance,
+                       const SingleAlgorithm& algorithm) {
+  const core::QbssRun run = algorithm(instance);
+  const StepFunction& executed = run.schedule.speed();
+  RunProfile profile{
+      SpeedProfile(executed), std::nullopt,
+      run.feasible && core::validate_run(instance, run).feasible};
+  if (run.nominal.pieces() != executed.pieces()) {
+    profile.nominal.emplace(run.nominal);
+  }
+  return profile;
 }
 
 /// FNV-1a over the five doubles of every job — content hash for the memo.
@@ -61,23 +80,41 @@ bool same_jobs(const std::vector<core::QJob>& a,
 
 }  // namespace
 
-Measurement measure(const core::QInstance& instance,
-                    const SingleAlgorithm& algorithm, double alpha) {
-  const scheduling::Schedule opt = core::clairvoyant_schedule(instance);
-  return measure_against(instance, algorithm, alpha, opt);
+SpeedProfile::SpeedProfile(const StepFunction& speed)
+    : max_speed_(speed.max_value()) {
+  const auto busy = [](const Segment& p) { return p.value > 0.0; };
+  pieces_.reserve(static_cast<std::size_t>(
+      std::count_if(speed.pieces().begin(), speed.pieces().end(), busy)));
+  for (const Segment& p : speed.pieces()) {
+    if (busy(p)) pieces_.push_back({p.span.length(), p.value});
+  }
 }
 
-std::shared_ptr<const scheduling::Schedule> ClairvoyantCache::schedule(
+Energy SpeedProfile::energy(double alpha) const {
+  QBSS_EXPECTS(alpha > 0.0);
+  double total = 0.0;
+  for (const Piece& p : pieces_) total += p.length * std::pow(p.speed, alpha);
+  return total;
+}
+
+Measurement measure(const core::QInstance& instance,
+                    const SingleAlgorithm& algorithm, double alpha) {
+  QBSS_SPAN("harness.measure");
+  const SpeedProfile opt(core::clairvoyant_schedule(instance).speed());
+  return ratios(opt, profile_run(instance, algorithm), alpha);
+}
+
+ClairvoyantCache::Entry& ClairvoyantCache::entry(
     const core::QInstance& instance) {
   const std::uint64_t key = content_hash(instance);
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = buckets_.find(key); it != buckets_.end()) {
-      for (const Entry& e : it->second) {
+      for (Entry& e : it->second) {
         if (same_jobs(e.jobs, instance.jobs())) {
           ++hits_;
           QBSS_COUNT("cache.clairvoyant.hit");
-          return e.schedule;
+          return e;
         }
       }
     }
@@ -86,27 +123,60 @@ std::shared_ptr<const scheduling::Schedule> ClairvoyantCache::schedule(
 
   // Solve outside the lock; a racing thread may solve the same instance,
   // in which case the first insert wins (the solver is deterministic, so
-  // both schedules are identical anyway).
-  auto solved = std::make_shared<const scheduling::Schedule>(
-      core::clairvoyant_schedule(instance));
+  // both profiles are identical anyway).
+  SpeedProfile solved(core::clairvoyant_schedule(instance).speed());
 
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Entry>& bucket = buckets_[key];
-  for (const Entry& e : bucket) {
+  std::forward_list<Entry>& bucket = buckets_[key];
+  for (Entry& e : bucket) {
     if (same_jobs(e.jobs, instance.jobs())) {
       ++hits_;
-      return e.schedule;
+      return e;
     }
   }
-  bucket.push_back(Entry{{instance.jobs().begin(), instance.jobs().end()},
-                         std::move(solved)});
-  return bucket.back().schedule;
+  return bucket.emplace_front(
+      Entry{{instance.jobs().begin(), instance.jobs().end()},
+            std::move(solved),
+            {}});
+}
+
+const RunProfile& ClairvoyantCache::run(Entry& entry, Policy policy,
+                                        const core::QInstance& instance) {
+  const auto find = [&]() -> const RunProfile* {
+    for (const Run& r : entry.runs) {
+      if (r.policy == policy) return &r.profile;
+    }
+    return nullptr;
+  };
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (const RunProfile* hit = find()) {
+      QBSS_COUNT("cache.run.hit");
+      return *hit;
+    }
+  }
+  QBSS_COUNT("cache.run.miss");
+
+  // Run outside the lock, as for the optimum: the first insert wins.
+  RunProfile ran = profile_run(instance, policy);
+
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (const RunProfile* raced = find()) return *raced;
+  return entry.runs.emplace_front(Run{policy, std::move(ran)}).profile;
+}
+
+const SpeedProfile& ClairvoyantCache::optimum(
+    const core::QInstance& instance) {
+  return entry(instance).optimum;
 }
 
 std::size_t ClairvoyantCache::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
-  for (const auto& [key, bucket] : buckets_) total += bucket.size();
+  for (const auto& [key, bucket] : buckets_) {
+    total += static_cast<std::size_t>(
+        std::distance(bucket.begin(), bucket.end()));
+  }
   return total;
 }
 
@@ -118,9 +188,13 @@ std::size_t ClairvoyantCache::hits() const {
 Measurement measure_cached(const core::QInstance& instance,
                            const SingleAlgorithm& algorithm, double alpha,
                            ClairvoyantCache& cache) {
-  const std::shared_ptr<const scheduling::Schedule> opt =
-      cache.schedule(instance);
-  return measure_against(instance, algorithm, alpha, *opt);
+  QBSS_SPAN("harness.measure");
+  ClairvoyantCache::Entry& entry = cache.entry(instance);
+  const auto* policy = algorithm.target<ClairvoyantCache::Policy>();
+  if (policy == nullptr) {
+    return ratios(entry.optimum, profile_run(instance, algorithm), alpha);
+  }
+  return ratios(entry.optimum, cache.run(entry, *policy, instance), alpha);
 }
 
 void Aggregate::absorb(const Measurement& m) {

@@ -3,17 +3,24 @@
 #pragma once
 
 #include <cstdint>
+#include <forward_list>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/piecewise.hpp"
 #include "qbss/run.hpp"
 
 namespace qbss::analysis {
 
-/// A single-machine QBSS algorithm under measurement.
+/// A single-machine QBSS algorithm under measurement. A plain function
+/// (a `core::QbssRun (*)(const core::QInstance&)` such as core::avrq) must
+/// be a pure function of its instance: measure_cached runs it once per
+/// instance and reuses that run for every alpha. Every such function in
+/// src/qbss is. Any other callable (a capturing lambda, a bound object)
+/// runs on every measurement.
 using SingleAlgorithm = std::function<core::QbssRun(const core::QInstance&)>;
 
 /// Ratios of one run against the clairvoyant optimum.
@@ -31,42 +38,91 @@ struct Measurement {
   bool feasible = false;
 };
 
+/// What a measurement reads of a speed profile: its busy (length, speed)
+/// pieces in profile order and its maximum speed. energy(alpha) adds the
+/// terms StepFunction::power_integral adds, in the same order, so it is
+/// bit-identical to the profile's power_integral(alpha).
+class SpeedProfile {
+ public:
+  explicit SpeedProfile(const StepFunction& speed);
+
+  [[nodiscard]] Energy energy(double alpha) const;
+  [[nodiscard]] Speed max_speed() const noexcept { return max_speed_; }
+
+ private:
+  struct Piece {
+    Time length;
+    Speed speed;
+  };
+  std::vector<Piece> pieces_;
+  Speed max_speed_ = 0.0;
+};
+
+/// What a measurement reads of one algorithm's run: the executed profile,
+/// the nominal one only where it differs (BKPQ), and the
+/// `run.feasible && validate_run(...).feasible` verdict.
+struct RunProfile {
+  SpeedProfile executed;
+  std::optional<SpeedProfile> nominal;
+  bool feasible = false;
+};
+
 /// Runs `algorithm` on `instance` and measures it against the clairvoyant
 /// YDS optimum at exponent `alpha`.
 [[nodiscard]] Measurement measure(const core::QInstance& instance,
                                   const SingleAlgorithm& algorithm,
                                   double alpha);
 
-/// Content-addressed memo of clairvoyant schedules, so sweeping the same
-/// family at several alphas (or against several algorithms) solves YDS
-/// once per instance instead of once per (instance, alpha, algorithm).
-/// Thread-safe; the solver runs outside the lock, so concurrent misses on
-/// *different* instances don't serialize.
+/// Content-addressed memo of what measurements read, none of it
+/// alpha-specific: one entry per distinct instance (collision-checked on
+/// the full job vector) holding the clairvoyant optimum's SpeedProfile
+/// and the RunProfile of every plain-function algorithm measured on it.
+/// Sweeping a family at several alphas, or against several algorithms,
+/// solves YDS once per instance and runs and validates each algorithm
+/// once per instance. Thread-safe; solves and runs happen outside the
+/// lock, so concurrent misses on *different* work don't serialize.
 class ClairvoyantCache {
  public:
-  /// The YDS optimum of `instance` (solved on first request).
-  [[nodiscard]] std::shared_ptr<const scheduling::Schedule> schedule(
-      const core::QInstance& instance);
+  /// The clairvoyant optimum's profile for `instance` (YDS is solved on
+  /// the first request). Valid for the cache's lifetime.
+  [[nodiscard]] const SpeedProfile& optimum(const core::QInstance& instance);
 
   /// Distinct instances solved so far.
   [[nodiscard]] std::size_t size() const;
-  /// Requests answered without re-solving.
+  /// Optimum requests answered without re-solving.
   [[nodiscard]] std::size_t hits() const;
 
  private:
+  using Policy = core::QbssRun (*)(const core::QInstance&);
+
+  struct Run {
+    Policy policy;
+    RunProfile profile;
+  };
+  // Entries and runs sit in list nodes, which never move, so references
+  // handed out stay valid while other threads insert.
   struct Entry {
     std::vector<core::QJob> jobs;  // collision check: full job content
-    std::shared_ptr<const scheduling::Schedule> schedule;
+    SpeedProfile optimum;
+    std::forward_list<Run> runs;  // one per policy measured; guarded by mu_
   };
 
+  Entry& entry(const core::QInstance& instance);
+  const RunProfile& run(Entry& entry, Policy policy,
+                        const core::QInstance& instance);
+
+  friend Measurement measure_cached(const core::QInstance& instance,
+                                    const SingleAlgorithm& algorithm,
+                                    double alpha, ClairvoyantCache& cache);
+
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
+  std::unordered_map<std::uint64_t, std::forward_list<Entry>> buckets_;
   std::size_t hits_ = 0;
 };
 
-/// `measure`, but the clairvoyant optimum comes from (and is installed
-/// into) `cache`. Identical result to `measure` — the solver is
-/// deterministic — just cheaper on repeat instances.
+/// `measure`, but the clairvoyant optimum, and the run of a plain-function
+/// algorithm, come from (and are installed into) `cache`. Bit-identical
+/// to `measure`, just cheaper on repeat instances.
 [[nodiscard]] Measurement measure_cached(const core::QInstance& instance,
                                          const SingleAlgorithm& algorithm,
                                          double alpha,
@@ -95,7 +151,8 @@ struct Aggregate {
 /// fanning the seeds out across worker threads (common::parallel_for,
 /// honoring QBSS_THREADS). Returns the measurements in seed order —
 /// bit-identical to a serial loop for any thread count — for benches with
-/// custom reductions. `cache` (optional) memoizes the clairvoyant optima.
+/// custom reductions. `cache` (optional) memoizes the clairvoyant optima
+/// and the runs (see ClairvoyantCache).
 [[nodiscard]] std::vector<Measurement> measure_seeds(
     const std::function<core::QInstance(std::uint64_t)>& make, int seeds,
     const SingleAlgorithm& algorithm, double alpha,

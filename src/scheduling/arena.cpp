@@ -40,7 +40,8 @@ void SolveArena::grow(std::size_t at_least) {
   std::size_t size = blocks_.empty() ? kMinBlock : blocks_.back().size * 2;
   size = std::max(size, at_least);
   Block b;
-  b.data = std::make_unique<unsigned char[]>(size);
+  // alloc() hands out uninitialized storage, so the block is not zeroed.
+  b.data = std::make_unique_for_overwrite<unsigned char[]>(size);
   b.size = size;
   blocks_.push_back(std::move(b));
   ++growths_;

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -47,21 +49,24 @@ std::string segment_name(std::uint64_t id) {
   return buf;
 }
 
+/// Parses a segment id: decimal digits only, at most 2^64 - 1. False for
+/// anything else, so a value that would wrap is malformed like any other.
+bool parse_id(std::string_view digits, std::uint64_t* id) {
+  const char* end = digits.data() + digits.size();
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *id = value;
+  return true;
+}
+
 /// Parses "seg-NNNNNNNN.qseg" back to its id; false for anything else.
 bool parse_segment_name(const std::string& name, std::uint64_t* id) {
   if (name.size() < 10 || name.rfind("seg-", 0) != 0) return false;
   if (name.size() < 5 + 5 || name.substr(name.size() - 5) != ".qseg") {
     return false;
   }
-  const std::string digits = name.substr(4, name.size() - 9);
-  if (digits.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *id = value;
-  return true;
+  return parse_id(std::string_view(name).substr(4, name.size() - 9), id);
 }
 
 /// The decoded fixed-size record header.
@@ -230,12 +235,10 @@ bool SegmentStore::open(StoreConfig config, RecoveryStats* stats,
         continue;
       }
       if (text.rfind("next ", 0) == 0) {
-        std::uint64_t value = 0;
-        for (const char c : text.substr(5)) {
-          if (c < '0' || c > '9') { good = false; break; }
-          value = value * 10 + static_cast<std::uint64_t>(c - '0');
+        if (!parse_id(std::string_view(text).substr(5), &next_segment_id_)) {
+          good = false;
+          break;
         }
-        next_segment_id_ = value;
         continue;
       }
       if (text.rfind("seg ", 0) == 0) {
@@ -316,9 +319,12 @@ bool SegmentStore::open(StoreConfig config, RecoveryStats* stats,
   recovered.segments = segments_.size();
 
   // Seal everything but a still-roomy newest segment; reopen or create
-  // the active one.
+  // the active one. With no fresh id left the full newest segment stays
+  // active, readable, and append reports the exhaustion.
   bool need_fresh_active = true;
-  if (!segments_.empty() && segments_.back().size < config_.segment_bytes) {
+  if (!segments_.empty() &&
+      (segments_.back().size < config_.segment_bytes ||
+       !fresh_id_locked(next_segment_id_))) {
     need_fresh_active = false;
   }
   for (std::size_t i = 0; i < segments_.size(); ++i) {
@@ -479,7 +485,16 @@ bool SegmentStore::open_active_locked(std::uint64_t id, std::string* error) {
   return true;
 }
 
+bool SegmentStore::fresh_id_locked(std::uint64_t id) const {
+  return std::all_of(segments_.begin(), segments_.end(),
+                     [id](const Segment& seg) { return seg.id < id; });
+}
+
 bool SegmentStore::seal_active_locked(std::string* error) {
+  if (!fresh_id_locked(next_segment_id_)) {
+    if (error) *error = "segment ids exhausted";
+    return false;
+  }
   Segment& seg = segments_.back();
   if (!fsync_fd(seg.fd, error)) return false;
   if (seg.size > 0) {
@@ -566,6 +581,12 @@ bool SegmentStore::append(const std::string& key, const std::string& payload,
     raw[20] ^= 0x55;
   }
 
+  // A full active segment means its seal failed: seal before writing,
+  // so a segment that cannot be sealed takes no more records.
+  if (segments_.back().size >= config_.segment_bytes &&
+      !seal_active_locked(error)) {
+    return false;
+  }
   Segment& seg = segments_.back();
   std::string record;
   record.reserve(kRecordHeaderSize + key.size() + payload.size());
@@ -803,6 +824,11 @@ bool SegmentStore::compact(std::string* error) {
     return false;
   };
   const auto open_fresh = [&]() {
+    // Past 2^64 - 1 the ids would wrap onto live segments.
+    if (!(fresh.empty() ? fresh_id_locked(next_id)
+                        : next_id > fresh.back().id)) {
+      return false;
+    }
     Segment seg;
     seg.id = next_id++;
     seg.path = config_.dir + "/" + segment_name(seg.id);

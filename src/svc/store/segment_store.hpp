@@ -169,6 +169,12 @@ class SegmentStore {
                                          RecoveryStats* stats,
                                          std::string* error);
   [[nodiscard]] bool open_active_locked(std::uint64_t id, std::string* error);
+  /// True when `id` may name a new segment. Ids only grow, so it must be
+  /// above every live segment's id; a counter wrapped past 2^64 - 1 is
+  /// not, and opening its file (O_TRUNC) could truncate a live segment.
+  [[nodiscard]] bool fresh_id_locked(std::uint64_t id) const;
+  /// Seals the active segment and opens the next; false + *error when
+  /// no fresh id is left.
   [[nodiscard]] bool seal_active_locked(std::string* error);
   [[nodiscard]] bool write_manifest_locked(std::string* error);
   void enforce_budget_locked();

@@ -1,20 +1,31 @@
 // The deterministic fan-out substrate: parallel_for index coverage and
-// exception plumbing, the clairvoyant memo, and bit-identical parallel
-// sweeps — the invariants every bench table's byte-stability rests on.
+// exception plumbing, the clairvoyant and run memo, and bit-identical
+// parallel sweeps — the invariants every bench table's byte-stability
+// rests on.
 #include "common/parallel_for.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/ratio_harness.hpp"
+#include "gen/compression.hpp"
 #include "gen/random_instances.hpp"
 #include "qbss/avrq.hpp"
+#include "qbss/bkpq.hpp"
 #include "qbss/clairvoyant.hpp"
+#include "qbss/crad.hpp"
+#include "qbss/crcd.hpp"
+#include "qbss/crp2d.hpp"
+#include "qbss/oaq.hpp"
+#include "qbss/run.hpp"
+#include "scheduling/schedule.hpp"
 
 namespace qbss {
 namespace {
@@ -100,18 +111,18 @@ TEST(ClairvoyantCache, SolvesEachDistinctInstanceOnce) {
   const core::QInstance a = gen::random_online(10, 8.0, 0.5, 4.0, 1);
   const core::QInstance b = gen::random_online(10, 8.0, 0.5, 4.0, 2);
 
-  const auto s1 = cache.schedule(a);
-  const auto s2 = cache.schedule(a);
-  EXPECT_EQ(s1.get(), s2.get());  // same memo entry, not a re-solve
+  const analysis::SpeedProfile& p1 = cache.optimum(a);
+  const analysis::SpeedProfile& p2 = cache.optimum(a);
+  EXPECT_EQ(&p1, &p2);  // same memo entry, not a re-solve
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
 
-  (void)cache.schedule(b);
+  (void)cache.optimum(b);
   EXPECT_EQ(cache.size(), 2u);
 
-  // The memoized schedule is the clairvoyant optimum.
-  EXPECT_DOUBLE_EQ(s1->energy(3.0), core::clairvoyant_energy(a, 3.0));
-  EXPECT_DOUBLE_EQ(s1->max_speed(), core::clairvoyant_max_speed(a));
+  // The memoized profile is the clairvoyant optimum, bit for bit.
+  EXPECT_EQ(p1.energy(3.0), core::clairvoyant_energy(a, 3.0));
+  EXPECT_EQ(p1.max_speed(), core::clairvoyant_max_speed(a));
 }
 
 TEST(MeasureCached, MatchesUncachedMeasureExactly) {
@@ -133,6 +144,164 @@ TEST(MeasureCached, MatchesUncachedMeasureExactly) {
   // Two alphas per instance: the second measure reuses the memo.
   EXPECT_EQ(cache.size(), 6u);
   EXPECT_GE(cache.hits(), 6u);
+}
+
+bool same_bits(const analysis::Measurement& a,
+               const analysis::Measurement& b) {
+  const auto same = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  return same(a.energy_ratio, b.energy_ratio) &&
+         same(a.nominal_energy_ratio, b.nominal_energy_ratio) &&
+         same(a.speed_ratio, b.speed_ratio) &&
+         same(a.nominal_speed_ratio, b.nominal_speed_ratio) &&
+         a.feasible == b.feasible;
+}
+
+constexpr double kAlphas[] = {1.5, 2.0, 2.5, 3.0};
+
+using Make = std::function<core::QInstance(std::uint64_t)>;
+
+Make online_family() {
+  return [](std::uint64_t s) {
+    return gen::random_online(12, 8.0, 0.5, 4.0, s);
+  };
+}
+
+/// The ratios straight from the full run and the optimum's Schedule,
+/// through StepFunction::power_integral and max_value: what the
+/// profiles must reproduce bit for bit.
+analysis::Measurement from_schedules(
+    const core::QInstance& instance,
+    core::QbssRun (*algorithm)(const core::QInstance&), double alpha) {
+  const scheduling::Schedule opt = core::clairvoyant_schedule(instance);
+  const core::QbssRun run = algorithm(instance);
+  analysis::Measurement m;
+  m.energy_ratio = run.energy(alpha) / opt.energy(alpha);
+  m.nominal_energy_ratio = run.nominal_energy(alpha) / opt.energy(alpha);
+  m.speed_ratio = run.max_speed() / opt.max_speed();
+  m.nominal_speed_ratio = run.nominal_max_speed() / opt.max_speed();
+  m.feasible = run.feasible && core::validate_run(instance, run).feasible;
+  return m;
+}
+
+TEST(MeasureCached, EveryTable1RowMatchesUncachedMeasureBitForBit) {
+  // The rows and families of qbench's sweep_table1.
+  gen::CompressionConfig stream;
+  stream.files = 15;
+  const Make compression = [stream](std::uint64_t s) {
+    return gen::compression_stream(stream, 12.0, 3.0, s);
+  };
+  struct Row {
+    const char* name;
+    core::QbssRun (*run)(const core::QInstance&);
+    Make family;
+  };
+  const std::vector<Row> rows = {
+      {"crcd", core::crcd,
+       [](std::uint64_t s) { return gen::random_common_deadline(15, 6.0, s); }},
+      {"crp2d", core::crp2d,
+       [](std::uint64_t s) { return gen::random_pow2_deadlines(15, 4, s); }},
+      {"crad", core::crad,
+       [](std::uint64_t s) {
+         return gen::random_arbitrary_deadlines(15, 12.0, s);
+       }},
+      {"avrq", core::avrq, online_family()},
+      {"avrq", core::avrq, compression},
+      {"bkpq", core::bkpq, online_family()},
+      {"bkpq", core::bkpq, compression},
+      {"oaq", core::oaq, online_family()},
+      {"oaq", core::oaq, compression},
+  };
+  constexpr int kSeeds = 6;
+  analysis::ClairvoyantCache cache;  // one memo for every row and alpha
+  for (const Row& row : rows) {
+    for (const double alpha : kAlphas) {
+      const std::vector<analysis::Measurement> cached =
+          analysis::measure_seeds(row.family, kSeeds, row.run, alpha, &cache);
+      for (int s = 0; s < kSeeds; ++s) {
+        const core::QInstance instance =
+            row.family(static_cast<std::uint64_t>(s));
+        const analysis::Measurement plain =
+            analysis::measure(instance, row.run, alpha);
+        EXPECT_TRUE(same_bits(plain, cached[static_cast<std::size_t>(s)]))
+            << row.name << " alpha " << alpha << " seed " << s;
+        EXPECT_TRUE(
+            same_bits(plain, from_schedules(instance, row.run, alpha)))
+            << row.name << " alpha " << alpha << " seed " << s;
+      }
+    }
+  }
+}
+
+std::atomic<int> counted_avrq_calls{0};
+
+core::QbssRun counted_avrq(const core::QInstance& instance) {
+  counted_avrq_calls.fetch_add(1);
+  return core::avrq(instance);
+}
+
+TEST(MeasureCached, RunsAPlainFunctionOncePerInstanceAcrossAlphas) {
+  constexpr int kSeeds = 8;
+  for (const char* threads : {"1", "4"}) {
+    ThreadsEnv env(threads);
+    counted_avrq_calls.store(0);
+    analysis::ClairvoyantCache cache;
+    for (const double alpha : kAlphas) {
+      const std::vector<analysis::Measurement> cached =
+          analysis::measure_seeds(online_family(), kSeeds, counted_avrq,
+                                  alpha, &cache);
+      for (int s = 0; s < kSeeds; ++s) {
+        EXPECT_TRUE(same_bits(
+            analysis::measure(online_family()(static_cast<std::uint64_t>(s)),
+                              core::avrq, alpha),
+            cached[static_cast<std::size_t>(s)]))
+            << threads << " threads, alpha " << alpha << " seed " << s;
+      }
+    }
+    EXPECT_EQ(counted_avrq_calls.load(), kSeeds) << threads << " threads";
+  }
+}
+
+TEST(MeasureCached, RunsACapturingLambdaEveryTime) {
+  constexpr int kSeeds = 4;
+  std::atomic<int> calls{0};
+  const analysis::SingleAlgorithm captured =
+      [&calls](const core::QInstance& instance) {
+        calls.fetch_add(1);
+        return core::avrq(instance);
+      };
+  analysis::ClairvoyantCache cache;
+  for (const double alpha : kAlphas) {
+    const std::vector<analysis::Measurement> cached =
+        analysis::measure_seeds(online_family(), kSeeds, captured, alpha,
+                                &cache);
+    for (int s = 0; s < kSeeds; ++s) {
+      EXPECT_TRUE(same_bits(
+          analysis::measure(online_family()(static_cast<std::uint64_t>(s)),
+                            core::avrq, alpha),
+          cached[static_cast<std::size_t>(s)]))
+          << "alpha " << alpha << " seed " << s;
+    }
+  }
+  EXPECT_EQ(calls.load(), 4 * kSeeds);
+}
+
+TEST(MeasureCached, AlgorithmsOnOneInstanceKeepTheirOwnRuns) {
+  const core::QInstance inst = online_family()(3);
+  analysis::ClairvoyantCache cache;
+  for (const double alpha : kAlphas) {
+    const analysis::Measurement by_avrq =
+        analysis::measure_cached(inst, core::avrq, alpha, cache);
+    const analysis::Measurement by_bkpq =
+        analysis::measure_cached(inst, core::bkpq, alpha, cache);
+    EXPECT_TRUE(
+        same_bits(by_avrq, analysis::measure(inst, core::avrq, alpha)));
+    EXPECT_TRUE(
+        same_bits(by_bkpq, analysis::measure(inst, core::bkpq, alpha)));
+    EXPECT_FALSE(same_bits(by_avrq, by_bkpq)) << "alpha " << alpha;
+  }
+  EXPECT_EQ(cache.size(), 1u);  // one instance, one optimum
 }
 
 void expect_same_aggregate(const analysis::Aggregate& a,

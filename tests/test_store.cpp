@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -343,6 +344,127 @@ TEST(SegmentStore, ManifestListingASegmentTwiceStillServesNewAppends) {
   const StorePayloadPtr new_hit = store.find("new");
   ASSERT_TRUE(new_hit);
   EXPECT_EQ(*new_hit, "new-payload");
+}
+
+/// A MANIFEST that would push segment ids past 2^64 - 1. The store gets
+/// a sealed seg-00000001 and an active seg-00000002, then `manifest`, a
+/// reopen and three 4 KB appends (4096-byte segments), then another
+/// reopen, an append and a compaction, which takes fresh ids too.
+/// Nothing may crash, no segment file may shrink or change before the
+/// compaction, and every acknowledged record must read back
+/// byte-identical. A wrapped id would reopen seg-00000001 with O_TRUNC
+/// while it is mapped, and the next find would die with SIGBUS.
+void expect_ids_never_wrap(const char* tag, const std::string& manifest,
+                           std::size_t acked_after_reopen) {
+  TempDir dir(tag);
+  StoreConfig config;
+  config.dir = dir.path;
+  config.segment_bytes = 4096;
+  const std::string big(4096, 'b');
+  std::map<std::string, std::string> acked;
+  {
+    SegmentStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(config, nullptr, &error)) << error;
+    ASSERT_TRUE(store.append("sealed", big, &error)) << error;
+    ASSERT_TRUE(store.append("active", "small", &error)) << error;
+    store.close();
+  }
+  acked["sealed"] = big;
+  acked["active"] = "small";
+  const std::string seg1 = read_file(seg_path(dir, 1));
+  const std::string seg2 = read_file(seg_path(dir, 2));
+  ASSERT_GT(seg1.size(), big.size());
+  ASSERT_FALSE(seg2.empty());
+  write_file(dir.path + "/MANIFEST", manifest);
+
+  const auto expect_records = [&](SegmentStore& store) {
+    for (const auto& [key, payload] : acked) {
+      const StorePayloadPtr hit = store.find(key);
+      ASSERT_TRUE(hit) << key;
+      EXPECT_EQ(*hit, payload) << key;
+    }
+  };
+  const auto expect_intact = [&](SegmentStore& store) {
+    EXPECT_EQ(read_file(seg_path(dir, 1)), seg1);
+    EXPECT_EQ(read_file(seg_path(dir, 2)).substr(0, seg2.size()), seg2);
+    expect_records(store);
+  };
+  const auto segment_bytes = [&]() {
+    std::uintmax_t total = 0;
+    for (const auto& file : std::filesystem::directory_iterator(dir.path)) {
+      if (file.path().extension() == ".qseg") total += file.file_size();
+    }
+    return total;
+  };
+  std::string error;
+  {
+    SegmentStore store;
+    ASSERT_TRUE(store.open(config, nullptr, &error)) << error;
+    std::size_t taken = 0;
+    std::uintmax_t refused_at = 0;
+    for (int i = 0; i < 3; ++i) {
+      if (store.append(numbered("new", i), big, &error)) {
+        acked[numbered("new", i)] = big;
+        ++taken;
+      } else {
+        // Once an append is refused, the segment that could not be
+        // sealed takes no more records.
+        if (refused_at != 0) {
+          EXPECT_EQ(segment_bytes(), refused_at) << i;
+        }
+        refused_at = segment_bytes();
+      }
+    }
+    EXPECT_EQ(taken, acked_after_reopen);
+    expect_intact(store);
+    store.close();
+  }
+  {
+    SegmentStore store;
+    ASSERT_TRUE(store.open(config, nullptr, &error)) << error;
+    expect_intact(store);
+    const std::uintmax_t before = segment_bytes();
+    if (store.append("last", big, &error)) {
+      acked["last"] = big;
+    } else {
+      EXPECT_EQ(segment_bytes(), before);
+    }
+    expect_intact(store);
+    static_cast<void>(store.compact(&error));
+    expect_records(store);
+    store.close();
+  }
+  SegmentStore store;
+  ASSERT_TRUE(store.open(config, nullptr, &error)) << error;
+  expect_records(store);
+}
+
+TEST(SegmentStore, ManifestNextAtTheLastIdRefusesAppendsInsteadOfWrapping) {
+  // The first seal takes id 2^64 - 1; the next seal has no id left, so
+  // append reports it and the full segment takes no more records.
+  expect_ids_never_wrap("next-last-id",
+                        "qbss-store/1\nnext 18446744073709551615\n"
+                        "seg seg-00000001.qseg\nseg seg-00000002.qseg\n",
+                        1);
+}
+
+TEST(SegmentStore, ManifestNextPast64BitsIsMalformed) {
+  // 2^65 - 1 would wrap to 2^64 - 1. It is malformed, so the MANIFEST is
+  // rebuilt from the directory and ids continue after seg-00000002.
+  expect_ids_never_wrap("next-20-digits",
+                        "qbss-store/1\nnext 36893488147419103231\n"
+                        "seg seg-00000001.qseg\nseg seg-00000002.qseg\n",
+                        3);
+}
+
+TEST(SegmentStore, ManifestSegmentNamePast64BitsIsSkipped) {
+  // 2^64 + 1 would wrap to id 1 and shadow seg-00000001's records.
+  expect_ids_never_wrap("name-20-digits",
+                        "qbss-store/1\nnext 3\n"
+                        "seg seg-18446744073709551617.qseg\n"
+                        "seg seg-00000001.qseg\nseg seg-00000002.qseg\n",
+                        3);
 }
 
 TEST(SegmentStore, SweepsUnlistedSegmentsAndStrayFiles) {
