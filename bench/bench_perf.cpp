@@ -20,6 +20,7 @@
 #include "io/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/trace.hpp"
+#include "oracles.hpp"
 #include "gen/random_instances.hpp"
 #include "qbss/avrq.hpp"
 #include "qbss/avrq_m.hpp"
@@ -84,7 +85,7 @@ void BM_YdsReference(benchmark::State& state) {
   // its per-round candidate scan pays an extra factor n over BM_Yds.
   const auto inst = classical_instance(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduling::yds_reference(inst));
+    benchmark::DoNotOptimize(scheduling::oracle::yds_reference(inst));
   }
   state.SetComplexityN(state.range(0));
 }

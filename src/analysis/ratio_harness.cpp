@@ -53,15 +53,14 @@ RunProfile profile_run(const core::QInstance& instance,
   return profile;
 }
 
-/// FNV-1a over the five doubles of every job — content hash for the memo.
+/// Content hash for the memo over the five doubles of every job, one
+/// multiply-xorshift step per double's bit pattern. It only picks a
+/// bucket; same_jobs decides equality.
 std::uint64_t content_hash(const core::QInstance& instance) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](double v) {
-    std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
+    h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
   };
   for (const core::QJob& j : instance.jobs()) {
     mix(j.release);

@@ -57,6 +57,7 @@ StepFunction StepFunction::sum_of(std::span<const Segment> pieces) {
   const double dust = 1e-12 * scale;
 
   StepFunction out;
+  out.pieces_.reserve(events.empty() ? 0 : events.size() - 1);
   double running = 0.0;
   std::size_t i = 0;
   while (i < events.size()) {
@@ -150,6 +151,7 @@ StepFunction StepFunction::scaled(double k) const {
 
 StepFunction StepFunction::restricted(Interval iv) const {
   StepFunction out;
+  out.pieces_.reserve(pieces_.size());
   for (const auto& p : pieces_) {
     const Interval cut = p.span.intersect(iv);
     if (!cut.empty()) out.pieces_.push_back(Segment{cut, p.value});
@@ -160,7 +162,20 @@ StepFunction StepFunction::restricted(Interval iv) const {
 
 void StepFunction::add_constant(Interval iv, double v) {
   if (iv.empty()) return;
-  *this = plus(StepFunction::constant(iv, v));
+  if (!pieces_.empty() && iv.begin < pieces_.back().span.end) {
+    *this = plus(StepFunction::constant(iv, v));
+    return;
+  }
+  // A piece at or after the last one: plus() would keep every old piece
+  // (p + 0.0 == p for the nonzero values stored), drop a zero v and merge
+  // v into an adjacent equal last piece. Do exactly that, in place.
+  if (v == 0.0) return;
+  if (!pieces_.empty() && pieces_.back().span.end == iv.begin &&
+      pieces_.back().value == v) {
+    pieces_.back().span.end = iv.end;
+  } else {
+    pieces_.push_back(Segment{iv, v});
+  }
 }
 
 std::vector<Time> StepFunction::breakpoints() const {
@@ -192,18 +207,18 @@ void StepFunction::normalize() {
             [](const Segment& a, const Segment& b) {
               return a.span.begin < b.span.begin;
             });
-  std::vector<Segment> merged;
-  merged.reserve(pieces_.size());
-  for (const auto& p : pieces_) {
-    if (!merged.empty() && merged.back().span.end == p.span.begin &&
-        merged.back().value == p.value) {
-      merged.back().span.end = p.span.end;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pieces_.size(); ++i) {
+    const Segment p = pieces_[i];
+    if (kept > 0 && pieces_[kept - 1].span.end == p.span.begin &&
+        pieces_[kept - 1].value == p.value) {
+      pieces_[kept - 1].span.end = p.span.end;
     } else {
-      QBSS_ENSURES(merged.empty() || merged.back().span.end <= p.span.begin);
-      merged.push_back(p);
+      QBSS_ENSURES(kept == 0 || pieces_[kept - 1].span.end <= p.span.begin);
+      pieces_[kept++] = p;
     }
   }
-  pieces_ = std::move(merged);
+  pieces_.resize(kept);
 }
 
 }  // namespace qbss

@@ -71,7 +71,10 @@ class StepFunction {
   /// This function restricted to `iv` (0 outside).
   [[nodiscard]] StepFunction restricted(Interval iv) const;
 
-  /// Adds `v` on `iv` in place.
+  /// Adds `v` on `iv` in place. A piece that starts at or after the last
+  /// piece's end is appended in O(1) (the left-to-right build every
+  /// profile in the library uses); any other piece rebuilds through
+  /// plus(). Both give the same pieces, bit for bit.
   void add_constant(Interval iv, double v);
 
   /// The normalized pieces (sorted, disjoint, adjacent values distinct,

@@ -16,6 +16,15 @@
 // tails; feasibility is validated explicitly, and the BKPQ/BKP* pointwise
 // comparison (Theorem 5.4) uses the same family on both sides, so every
 // measured check stays internally consistent.
+//
+// Cost: on a grid piece (a, b] the formula depends on a only through the
+// jobs arrived by a and the candidate starts t1 <= a, and both change only
+// at a release. bkp_profile therefore evaluates each deadline t2 once per
+// arrival epoch (a max over the arrived releases t1, summing the arrived
+// jobs in one fixed order) and answers every piece of the epoch from a
+// suffix maximum over t2: O(#releases * #deadlines * (n + #releases)) in
+// all, with each piece's value bit-identical to a direct scan of its
+// (t1, t2) pairs (tests/test_online_oracles.cpp keeps that scan).
 #pragma once
 
 #include "common/piecewise.hpp"

@@ -23,8 +23,25 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
 
   // Elementary grid: releases, deadlines and profile breakpoints. Within an
   // elementary interval the speed is constant and no job arrives/expires.
-  std::vector<Time> grid = instance.event_times();
-  for (Time t : profile.breakpoints()) grid.push_back(t);
+  // Built in one buffer with the sorts of instance.event_times() and
+  // profile.breakpoints() kept: which of a -0.0/+0.0 tie survives a
+  // unique depends on the order the sort leaves, and grid values become
+  // the schedule's piece bounds.
+  std::vector<Time> grid;
+  grid.reserve(2 * n + 2 * profile.pieces().size());
+  for (const ClassicalJob& j : instance.jobs()) {
+    grid.push_back(j.release);
+    grid.push_back(j.deadline);
+  }
+  std::sort(grid.begin(), grid.end());
+  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
+  const auto events = static_cast<std::ptrdiff_t>(grid.size());
+  for (const Segment& p : profile.pieces()) {
+    grid.push_back(p.span.begin);
+    grid.push_back(p.span.end);
+  }
+  std::sort(grid.begin() + events, grid.end());
+  grid.erase(std::unique(grid.begin() + events, grid.end()), grid.end());
   std::sort(grid.begin(), grid.end());
   grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
 
@@ -60,6 +77,10 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
 
   ScheduleBuilder builder(n);
   bool feasible = true;
+  // Capacity that forward snaps (below) ran past a job's work. That job
+  // took it from the jobs after it, so each may end short by the total,
+  // and the feasibility checks allow it on top of work_eps.
+  Work overrun = 0.0;
 
   for (std::size_t g = 0; g + 1 < grid.size(); ++g) {
     const Time a = grid[g];
@@ -75,7 +96,7 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
     // work pending can never finish.
     while (!heap.empty() &&
            instance.jobs()[heap.front()].deadline <= a) {
-      if (remaining[heap.front()] > work_eps) feasible = false;
+      if (remaining[heap.front()] > work_eps + overrun) feasible = false;
       std::pop_heap(heap.begin(), heap.end(), later);
       heap.pop_back();
     }
@@ -105,13 +126,15 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
       }
       const Time until = std::min(b, finish);
       builder.add_rate(static_cast<JobId>(pick), {cursor, until}, s);
-      rem = std::max(0.0, rem - s * (until - cursor));
+      const Work left = rem - s * (until - cursor);
+      if (left < 0.0) overrun -= left;
+      rem = std::max(0.0, left);
       cursor = until;
     }
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (remaining[i] > work_eps) feasible = false;
+    if (remaining[i] > work_eps + overrun) feasible = false;
   }
 
   EdfResult out;

@@ -5,6 +5,13 @@
 // released job with the earliest deadline runs. EDF is optimal for
 // feasibility among preemptive single-machine policies, so `feasible`
 // answers "can this profile execute the instance at all?".
+//
+// A job whose finish lands within kEps of its cell's end is snapped onto
+// that boundary, so breakpoints stay on the grid. The snap runs the job a
+// little past its work, and that capacity is missing for the jobs after
+// it: a job may end short by the total. The feasibility verdict therefore
+// allows, on top of its rounding epsilon, the capacity all forward snaps
+// ran past their jobs' work.
 #pragma once
 
 #include <vector>

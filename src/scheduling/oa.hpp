@@ -6,6 +6,14 @@
 // follows it until the next arrival. The paper's conclusion poses extending
 // OA to the QBSS model as an open question — src/qbss/oaq.cpp does exactly
 // that, on top of this implementation.
+//
+// Every replan is a common-release instance (all remaining work is
+// released at `now`), whose critical intervals come out left to right, so
+// each replan peels YDS rounds only until one reaches the next arrival
+// (yds_until); the rest would be discarded. A job whose deadline passes
+// with only a sliver of work left (at most kEps times the instance's total
+// work, the capacity EDF's forward snaps may take from it, see edf.hpp)
+// has met its deadline and leaves the plan; a larger remainder aborts.
 #pragma once
 
 #include "scheduling/schedule.hpp"

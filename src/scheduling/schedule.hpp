@@ -92,7 +92,10 @@ class ScheduleBuilder {
   [[nodiscard]] Schedule build() && {
     Schedule out;
     out.rates_.reserve(rates_.size());
+    std::size_t total = 0;
+    for (const auto& pieces : rates_) total += pieces.size();
     std::vector<Segment> all;
+    all.reserve(total);
     for (auto& pieces : rates_) {
       all.insert(all.end(), pieces.begin(), pieces.end());
       out.rates_.push_back(StepFunction::sum_of(pieces));

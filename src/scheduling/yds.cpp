@@ -15,61 +15,6 @@ namespace qbss::scheduling {
 
 namespace {
 
-/// One critical-interval selection round. Candidate intervals run from a
-/// release time to a deadline of the remaining jobs; intensity counts only
-/// time not already claimed by earlier (denser) critical intervals.
-struct Critical {
-  Interval span;
-  double intensity = -1.0;
-  std::vector<JobId> contained;
-};
-
-Critical find_critical_reference(const Instance& instance,
-                                 const std::vector<bool>& done,
-                                 const IntervalSet& used) {
-  std::vector<Time> starts;
-  std::vector<Time> ends;
-  for (std::size_t i = 0; i < instance.size(); ++i) {
-    if (done[i]) continue;
-    starts.push_back(instance.jobs()[i].release);
-    ends.push_back(instance.jobs()[i].deadline);
-  }
-  std::sort(starts.begin(), starts.end());
-  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
-  std::sort(ends.begin(), ends.end());
-  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
-
-  Critical best;
-  for (const Time t1 : starts) {
-    for (const Time t2 : ends) {
-      if (t2 <= t1) continue;
-      const Interval cand{t1, t2};
-      Work inside = 0.0;
-      std::vector<JobId> contained;
-      for (std::size_t i = 0; i < instance.size(); ++i) {
-        if (done[i]) continue;
-        const ClassicalJob& j = instance.jobs()[i];
-        if (cand.covers(j.window())) {
-          inside += j.work;
-          contained.push_back(static_cast<JobId>(i));
-        }
-      }
-      if (contained.empty()) continue;
-      const Time avail = cand.length() - used.measure_within(cand);
-      // Windows of remaining jobs always retain free time (otherwise an
-      // earlier round would not have been maximal); guard regardless.
-      QBSS_ENSURES(avail > 0.0);
-      const double intensity = inside / avail;
-      if (intensity > best.intensity) {
-        best.span = cand;
-        best.intensity = intensity;
-        best.contained = std::move(contained);
-      }
-    }
-  }
-  return best;
-}
-
 /// Arena-backed scratch for the event-grid critical search. Every array
 /// is carved from the thread-local SolveArena in one shot when the solve
 /// starts; nothing here touches the heap, so a warm arena makes the whole
@@ -124,7 +69,8 @@ void cumulative_used(const IntervalSet& used, const double* times,
   }
 }
 
-/// Like Critical, but the contained set lives in the workspace (no heap).
+/// One round's critical interval and intensity; the contained set lives in
+/// the workspace (no heap).
 struct FastCritical {
   Interval span;
   double intensity = -1.0;
@@ -218,68 +164,15 @@ FastCritical find_critical_fast(FastWorkspace& ws, const IntervalSet& used) {
   return best;
 }
 
-/// The reference peeling loop, shared only by yds_reference now; the fast
-/// path has its own arena-backed loop below.
-template <typename FindCritical>
-Schedule yds_peel(const Instance& instance, FindCritical&& find) {
-  const std::size_t n = instance.size();
-  std::vector<bool> done(n, false);
-  IntervalSet used;
-  ScheduleBuilder builder(n);
-  std::size_t left = n;
-
-  // Zero-work jobs never influence intensities; mark them done upfront.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (instance.jobs()[i].work == 0.0) {
-      done[i] = true;
-      --left;
-    }
-  }
-
-  while (left > 0) {
-    QBSS_COUNT("yds.rounds");
-    const Critical crit = find(instance, done, used);
-    QBSS_ENSURES(!crit.contained.empty());
-
-    // Free slots of the critical interval, to run at the critical speed.
-    const std::vector<Interval> slots = used.gaps_within(crit.span);
-    StepFunction profile;
-    for (const Interval& g : slots) {
-      profile.add_constant(g, crit.intensity);
-    }
-
-    // Allocate the contained jobs inside those slots via EDF. Capacity
-    // matches total work exactly, and the classical YDS argument shows the
-    // packing is feasible.
-    Instance sub;
-    for (const JobId id : crit.contained) {
-      const ClassicalJob& j = instance.job(id);
-      sub.add(j.release, j.deadline, j.work);
-    }
-    const EdfResult packed = edf_allocate(sub, profile);
-    QBSS_ENSURES(packed.feasible);
-    for (std::size_t k = 0; k < crit.contained.size(); ++k) {
-      builder.add_rate(crit.contained[k],
-                       packed.schedule.rate(static_cast<JobId>(k)));
-    }
-
-    used.insert(crit.span);
-    for (const JobId id : crit.contained) {
-      done[static_cast<std::size_t>(id)] = true;
-      --left;
-    }
-  }
-
-  return std::move(builder).build();
-}
-
 /// Fast peeling loop: SoA view + arena scratch + the density-scan kernel.
-/// Selects the reference loop's critical intervals with the same
-/// tie-breaks; it sums contained work in deadline-rank order rather than
-/// job order, so intensities can differ in the last bit, and
-/// tests/test_perf_core.cpp checks the speed profile and energy against
-/// the reference across every generator family.
-Schedule yds_fast(const Instance& instance) {
+/// Selects the critical intervals of the direct-scan oracle
+/// (tests/oracles.cpp) with the same tie-breaks; it sums contained work
+/// in deadline-rank order rather than job order, so intensities can
+/// differ in the last bit, and tests/test_perf_core.cpp checks the speed
+/// profile and energy against the oracle across every generator family.
+/// The loop stops after the round whose critical interval reaches
+/// `horizon` (see yds_until).
+Schedule yds_fast(const Instance& instance, Time horizon) {
   // The thread arena is rewound at entry: blocks persist across solves,
   // so a warm thread performs zero heap allocations here. yds() must not
   // be re-entered from inside a solve on the same thread (no caller does;
@@ -331,6 +224,7 @@ Schedule yds_fast(const Instance& instance) {
       ws.done[ws.contained[k]] = 1;
       --left;
     }
+    if (crit.span.end >= horizon) break;
   }
 
   return std::move(builder).build();
@@ -342,11 +236,18 @@ bool yds_simd_compiled() { return false; }
 
 Schedule yds(const Instance& instance) {
   QBSS_SPAN("yds.solve");
-  return yds_fast(instance);
+  return yds_fast(instance, kInf);
 }
 
-Schedule yds_reference(const Instance& instance) {
-  return yds_peel(instance, find_critical_reference);
+Schedule yds_until(const Instance& instance, Time horizon) {
+  QBSS_SPAN("yds.solve");
+  if (horizon != kInf && !instance.empty()) {
+    const Time release = instance.jobs()[0].release;
+    for (const ClassicalJob& j : instance.jobs()) {
+      QBSS_EXPECTS(j.release == release);
+    }
+  }
+  return yds_fast(instance, horizon);
 }
 
 StepFunction yds_profile(const Instance& instance) {

@@ -13,7 +13,9 @@
 // and treat already-scheduled critical intervals as unavailable when
 // measuring candidate intensities. The two formulations select the same
 // critical intervals; see tests/test_yds.cpp for cross-checks against
-// brute-force optima.
+// brute-force optima. The direct-scan solver the fast path replaced,
+// yds_reference, lives with the tests (tests/oracles.hpp) as the
+// differential oracle; nothing in the library calls it.
 #pragma once
 
 #include <vector>
@@ -28,8 +30,8 @@ namespace qbss::scheduling {
 /// critical-interval round scans the event grid with prefix-summed
 /// contained work and a cumulative occupancy sweep, so a round costs
 /// O(n log n) setup plus one density-scan row per distinct release (the
-/// reference pays another factor n per candidate). All scratch comes
-/// from the arena: on a warm thread the solve performs zero heap
+/// direct-scan oracle pays another factor n per candidate). All scratch
+/// comes from the arena: on a warm thread the solve performs zero heap
 /// allocations outside the returned Schedule (see docs/PERFORMANCE.md).
 /// Precondition: instance jobs are valid (enforced by Instance).
 [[nodiscard]] Schedule yds(const Instance& instance);
@@ -39,10 +41,14 @@ namespace qbss::scheduling {
 /// that field in the next change to the benchmark.
 [[nodiscard]] bool yds_simd_compiled();
 
-/// The original direct-scan solver (O(n) containment recount per candidate
-/// interval). Same peeling loop, same tie-breaking, kept as the oracle for
-/// differential tests; use `yds()` everywhere else.
-[[nodiscard]] Schedule yds_reference(const Instance& instance);
+/// The optimal schedule's rounds up to `horizon`: the peeling loop stops
+/// after the round whose critical interval reaches `horizon`, and jobs of
+/// later rounds get no rate. With a common release the critical intervals
+/// are prefixes (r, t2] of growing t2 whose free slots run left to right,
+/// so every rate equals yds()'s on (r, horizon]; OA, which follows each
+/// plan only until the next arrival, needs no more. Precondition: a
+/// finite `horizon` needs all releases equal (checked); kInf is yds().
+[[nodiscard]] Schedule yds_until(const Instance& instance, Time horizon);
 
 /// The optimal speed profile only (same cost as yds() today; kept separate
 /// because several callers — OA, CRP2D — need just the profile).

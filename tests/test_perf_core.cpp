@@ -16,6 +16,7 @@
 #include "gen/optimizer.hpp"
 #include "gen/random_instances.hpp"
 #include "obs/registry.hpp"
+#include "oracles.hpp"
 #include "qbss/transform.hpp"
 #include "scheduling/arena.hpp"
 #include "scheduling/soa.hpp"
@@ -146,14 +147,14 @@ TEST(YdsDifferential, SoaPathMatchesReferenceAcrossAllFamilies) {
     SCOPED_TRACE("family " + std::to_string(f));
     const Instance& inst = instances[f];
     const Schedule fast = yds(inst);
-    expect_near_identical(fast, yds_reference(inst));
+    expect_near_identical(fast, oracle::yds_reference(inst));
     EXPECT_TRUE(validate(inst, fast).feasible);
   }
 }
 
 TEST(YdsDifferential, DenormalAndNegativeZeroValues) {
   const Instance inst = denormal_instance();
-  expect_near_identical(yds(inst), yds_reference(inst));
+  expect_near_identical(yds(inst), oracle::yds_reference(inst));
   EXPECT_TRUE(validate(inst, yds(inst)).feasible);
 }
 

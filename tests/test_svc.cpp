@@ -229,6 +229,25 @@ TEST(Protocol, SolveMatchesDirectRunAndIsDeterministic) {
                   .feasible);
 }
 
+TEST(Protocol, SolvesTheOaqRequestWhoseReplanUsedToAbort) {
+  // One of OA's replans on this instance packs a critical interval whose
+  // EDF run snaps finishes forward onto cell boundaries; the solve used
+  // to abort (and with it `qbss serve`) on the short last job.
+  Request request;
+  request.algo = "oaq";
+  request.alpha = 3.0;
+  request.want_schedule = true;
+  request.instance =
+      gen::random_online(32, 10.0, 0.5, 4.0, 16599116542073688684ULL);
+  std::string payload;
+  std::string error;
+  ASSERT_TRUE(solve_request(request, &payload, &error)) << error;
+  SolveResult result;
+  ASSERT_TRUE(parse_solve_result(payload, &result, &error)) << error;
+  EXPECT_EQ(result.algo, "oaq");
+  EXPECT_TRUE(result.valid);
+}
+
 TEST(Protocol, SolveRejectsUnknownAlgoAndEmptyInstance) {
   Request request;
   request.algo = "no-such-policy";

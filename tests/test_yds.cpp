@@ -10,6 +10,7 @@
 #include <string>
 
 #include "analysis/fluid_opt.hpp"
+#include "oracles.hpp"
 #include "common/xoshiro.hpp"
 #include "gen/random_instances.hpp"
 #include "qbss/transform.hpp"
@@ -180,7 +181,7 @@ TEST(Yds, OptimalEnergyScalesAsWorkToTheAlpha) {
 /// invariant — tie-broken critical intervals may differ harmlessly.
 void expect_same_optimum(const Instance& inst, const char* context) {
   const Schedule fast = yds(inst);
-  const Schedule ref = yds_reference(inst);
+  const Schedule ref = oracle::yds_reference(inst);
   ASSERT_TRUE(validate(inst, fast).feasible) << context;
   ASSERT_TRUE(validate(inst, ref).feasible) << context;
   EXPECT_NEAR(fast.max_speed(), ref.max_speed(),
