@@ -111,6 +111,29 @@ BENCHMARK(BM_MeasureSweep)
     ->UseRealTime()
     ->Complexity();
 
+void BM_MeasureSweepWarm(benchmark::State& state) {
+  // BM_MeasureSweep against a memo already holding every seed's optimum
+  // and run, warmed once outside the timing loop: the cost of a sweep's
+  // later alpha columns, answered on the calling thread.
+  const int seeds = static_cast<int>(state.range(0));
+  const auto make = [](std::uint64_t s) {
+    return gen::random_online(32, 10.0, 0.5, 4.0, s);
+  };
+  analysis::ClairvoyantCache cache;
+  benchmark::DoNotOptimize(
+      analysis::sweep_family(make, seeds, core::avrq, 3.0, &cache));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        analysis::sweep_family(make, seeds, core::avrq, 3.0, &cache));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_MeasureSweepWarm)
+    ->RangeMultiplier(2)
+    ->Range(4, 32)
+    ->UseRealTime()
+    ->Complexity();
+
 void BM_YdsCommonRelease(benchmark::State& state) {
   // The O(n log n) specialization vs BM_Yds's general O(n^3)-ish solver.
   const auto q = gen::random_common_deadline(

@@ -77,6 +77,15 @@ bool same_jobs(const std::vector<core::QJob>& a,
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
+using PlainFunction = core::QbssRun (*)(const core::QInstance&);
+
+/// The plain function `algorithm` holds, whose runs the memo keeps; null
+/// for any other callable.
+PlainFunction plain_function(const SingleAlgorithm& algorithm) {
+  const PlainFunction* f = algorithm.target<PlainFunction>();
+  return f != nullptr ? *f : nullptr;
+}
+
 }  // namespace
 
 SpeedProfile::SpeedProfile(const StepFunction& speed)
@@ -103,70 +112,97 @@ Measurement measure(const core::QInstance& instance,
   return ratios(opt, profile_run(instance, algorithm), alpha);
 }
 
-ClairvoyantCache::Entry& ClairvoyantCache::entry(
-    const core::QInstance& instance) {
-  const std::uint64_t key = content_hash(instance);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = buckets_.find(key); it != buckets_.end()) {
-      for (Entry& e : it->second) {
-        if (same_jobs(e.jobs, instance.jobs())) {
-          ++hits_;
-          QBSS_COUNT("cache.clairvoyant.hit");
-          return e;
-        }
-      }
+ClairvoyantCache::Entry* ClairvoyantCache::find(
+    std::uint64_t key, const core::QInstance& instance) {
+  if (const auto it = buckets_.find(key); it != buckets_.end()) {
+    for (Entry& e : it->second) {
+      if (same_jobs(e.jobs, instance.jobs())) return &e;
     }
   }
-  QBSS_COUNT("cache.clairvoyant.miss");
+  return nullptr;
+}
 
+const RunProfile* ClairvoyantCache::Entry::run(Policy policy) const {
+  for (const Run& r : runs) {
+    if (r.policy == policy) return &r.profile;
+  }
+  return nullptr;
+}
+
+void ClairvoyantCache::find_run(Lookup& found, Policy policy) {
+  if (policy == nullptr) return;
+  found.run = found.entry->run(policy);
+  if (found.run != nullptr) {
+    QBSS_COUNT("cache.run.hit");
+  } else {
+    QBSS_COUNT("cache.run.miss");
+  }
+}
+
+ClairvoyantCache::Lookup ClairvoyantCache::lookup(
+    const core::QInstance& instance, Policy policy) {
+  Lookup found;
+  found.key = content_hash(instance);
+  const std::lock_guard<std::mutex> lock(mu_);
+  found.entry = find(found.key, instance);
+  if (found.entry == nullptr) {
+    QBSS_COUNT("cache.clairvoyant.miss");
+    return found;
+  }
+  ++hits_;
+  QBSS_COUNT("cache.clairvoyant.hit");
+  find_run(found, policy);
+  return found;
+}
+
+void ClairvoyantCache::solve(const core::QInstance& instance, Policy policy,
+                             Lookup& found) {
   // Solve outside the lock; a racing thread may solve the same instance,
   // in which case the first insert wins (the solver is deterministic, so
   // both profiles are identical anyway).
   SpeedProfile solved(core::clairvoyant_schedule(instance).speed());
 
   const std::lock_guard<std::mutex> lock(mu_);
-  std::forward_list<Entry>& bucket = buckets_[key];
-  for (Entry& e : bucket) {
-    if (same_jobs(e.jobs, instance.jobs())) {
-      ++hits_;
-      return e;
-    }
+  found.entry = find(found.key, instance);
+  if (found.entry != nullptr) {
+    ++hits_;
+  } else {
+    found.entry = &buckets_[found.key].emplace_front(
+        Entry{{instance.jobs().begin(), instance.jobs().end()},
+              std::move(solved),
+              {}});
   }
-  return bucket.emplace_front(
-      Entry{{instance.jobs().begin(), instance.jobs().end()},
-            std::move(solved),
-            {}});
+  find_run(found, policy);
 }
 
-const RunProfile& ClairvoyantCache::run(Entry& entry, Policy policy,
-                                        const core::QInstance& instance) {
-  const auto find = [&]() -> const RunProfile* {
-    for (const Run& r : entry.runs) {
-      if (r.policy == policy) return &r.profile;
-    }
-    return nullptr;
-  };
-  {
+Measurement ClairvoyantCache::complete(const core::QInstance& instance,
+                                       const SingleAlgorithm& algorithm,
+                                       Policy policy, double alpha,
+                                       Lookup found) {
+  if (found.entry == nullptr) solve(instance, policy, found);
+  if (policy == nullptr) {
+    return ratios(found.entry->optimum, profile_run(instance, algorithm),
+                  alpha);
+  }
+  if (found.run == nullptr) {
+    // Run outside the lock, as for the optimum: the first insert wins.
+    RunProfile ran = profile_run(instance, policy);
+
     const std::lock_guard<std::mutex> lock(mu_);
-    if (const RunProfile* hit = find()) {
-      QBSS_COUNT("cache.run.hit");
-      return *hit;
+    found.run = found.entry->run(policy);
+    if (found.run == nullptr) {
+      found.run =
+          &found.entry->runs.emplace_front(Run{policy, std::move(ran)}).profile;
     }
   }
-  QBSS_COUNT("cache.run.miss");
-
-  // Run outside the lock, as for the optimum: the first insert wins.
-  RunProfile ran = profile_run(instance, policy);
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (const RunProfile* raced = find()) return *raced;
-  return entry.runs.emplace_front(Run{policy, std::move(ran)}).profile;
+  return ratios(found.entry->optimum, *found.run, alpha);
 }
 
 const SpeedProfile& ClairvoyantCache::optimum(
     const core::QInstance& instance) {
-  return entry(instance).optimum;
+  Lookup found = lookup(instance, nullptr);
+  if (found.entry == nullptr) solve(instance, nullptr, found);
+  return found.entry->optimum;
 }
 
 std::size_t ClairvoyantCache::size() const {
@@ -188,12 +224,9 @@ Measurement measure_cached(const core::QInstance& instance,
                            const SingleAlgorithm& algorithm, double alpha,
                            ClairvoyantCache& cache) {
   QBSS_SPAN("harness.measure");
-  ClairvoyantCache::Entry& entry = cache.entry(instance);
-  const auto* policy = algorithm.target<ClairvoyantCache::Policy>();
-  if (policy == nullptr) {
-    return ratios(entry.optimum, profile_run(instance, algorithm), alpha);
-  }
-  return ratios(entry.optimum, cache.run(entry, *policy, instance), alpha);
+  const ClairvoyantCache::Policy policy = plain_function(algorithm);
+  return cache.complete(instance, algorithm, policy, alpha,
+                        cache.lookup(instance, policy));
 }
 
 void Aggregate::absorb(const Measurement& m) {
@@ -213,16 +246,43 @@ std::vector<Measurement> measure_seeds(
   QBSS_EXPECTS(seeds >= 0);
   QBSS_SPAN("harness.measure_seeds");
   QBSS_COUNT_ADD("sweep.instances", seeds);
+  const ClairvoyantCache::Policy policy = plain_function(algorithm);
+
+  // Every instance is made here, in seed order, and whatever the memo
+  // holds in full is measured here: a pool of threads costs far more than
+  // a memo hit. Only the seeds with work left fan out.
+  struct Pending {
+    std::size_t seed;
+    core::QInstance instance;
+    ClairvoyantCache::Lookup found;
+  };
   std::vector<Measurement> results(static_cast<std::size_t>(seeds));
-  common::parallel_for(
-      results.size(), [&](std::size_t seed) {
-        const core::QInstance instance =
-            make(static_cast<std::uint64_t>(seed));
-        results[seed] =
-            cache != nullptr
-                ? measure_cached(instance, algorithm, alpha, *cache)
-                : measure(instance, algorithm, alpha);
-      });
+  std::vector<Pending> pending;
+  for (std::size_t seed = 0; seed < results.size(); ++seed) {
+    core::QInstance instance = make(static_cast<std::uint64_t>(seed));
+    ClairvoyantCache::Lookup found;
+    if (cache != nullptr) {
+      found = cache->lookup(instance, policy);
+      if (found.run != nullptr) {
+        QBSS_SPAN("harness.measure");
+        results[seed] = ratios(found.entry->optimum, *found.run, alpha);
+        continue;
+      }
+    }
+    pending.push_back({seed, std::move(instance), found});
+  }
+  if (pending.empty()) return results;
+
+  common::parallel_for(pending.size(), [&](std::size_t i) {
+    const Pending& p = pending[i];
+    if (cache == nullptr) {
+      results[p.seed] = measure(p.instance, algorithm, alpha);
+      return;
+    }
+    QBSS_SPAN("harness.measure");
+    results[p.seed] =
+        cache->complete(p.instance, algorithm, policy, alpha, p.found);
+  });
   return results;
 }
 

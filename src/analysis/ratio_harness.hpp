@@ -80,7 +80,9 @@ struct RunProfile {
 /// Sweeping a family at several alphas, or against several algorithms,
 /// solves YDS once per instance and runs and validates each algorithm
 /// once per instance. Thread-safe; solves and runs happen outside the
-/// lock, so concurrent misses on *different* work don't serialize.
+/// lock, so concurrent misses on *different* work don't serialize. A
+/// measurement looks up the optimum and the run under one lock
+/// acquisition.
 class ClairvoyantCache {
  public:
   /// The clairvoyant optimum's profile for `instance` (YDS is solved on
@@ -105,15 +107,41 @@ class ClairvoyantCache {
     std::vector<core::QJob> jobs;  // collision check: full job content
     SpeedProfile optimum;
     std::forward_list<Run> runs;  // one per policy measured; guarded by mu_
+
+    /// `policy`'s run, or null; needs mu_ held.
+    [[nodiscard]] const RunProfile* run(Policy policy) const;
   };
 
-  Entry& entry(const core::QInstance& instance);
-  const RunProfile& run(Entry& entry, Policy policy,
-                        const core::QInstance& instance);
+  /// What the memo held for one measurement: its entry (null on a miss)
+  /// and, for a plain function, the run (null when not memoized yet).
+  struct Lookup {
+    std::uint64_t key = 0;
+    Entry* entry = nullptr;
+    const RunProfile* run = nullptr;
+  };
+
+  /// Looks up `instance`'s entry and, when `policy` is set, its run under
+  /// one lock acquisition, counting hits and misses.
+  Lookup lookup(const core::QInstance& instance, Policy policy);
+  /// Solves the optimum `found` missed and installs it (the first insert
+  /// wins), then looks up the run as lookup() does.
+  void solve(const core::QInstance& instance, Policy policy, Lookup& found);
+  /// Measures `instance` from `found`, first solving the optimum and
+  /// running `algorithm` where the memo did not hold them.
+  Measurement complete(const core::QInstance& instance,
+                       const SingleAlgorithm& algorithm, Policy policy,
+                       double alpha, Lookup found);
+  // Both need mu_ held.
+  Entry* find(std::uint64_t key, const core::QInstance& instance);
+  void find_run(Lookup& found, Policy policy);
 
   friend Measurement measure_cached(const core::QInstance& instance,
                                     const SingleAlgorithm& algorithm,
                                     double alpha, ClairvoyantCache& cache);
+  friend std::vector<Measurement> measure_seeds(
+      const std::function<core::QInstance(std::uint64_t)>& make, int seeds,
+      const SingleAlgorithm& algorithm, double alpha,
+      ClairvoyantCache* cache);
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::forward_list<Entry>> buckets_;
@@ -142,17 +170,17 @@ struct Aggregate {
   [[nodiscard]] double mean_energy_ratio() const {
     return count > 0 ? sum_energy_ratio / count : 0.0;
   }
-  [[nodiscard]] double mean_speed_ratio() const {
-    return count > 0 ? sum_speed_ratio / count : 0.0;
-  }
 };
 
-/// Measures `algorithm` on make(seed) for every seed in [0, seeds),
-/// fanning the seeds out across worker threads (common::parallel_for,
-/// honoring QBSS_THREADS). Returns the measurements in seed order —
-/// bit-identical to a serial loop for any thread count — for benches with
-/// custom reductions. `cache` (optional) memoizes the clairvoyant optima
-/// and the runs (see ClairvoyantCache).
+/// Measures `algorithm` on make(seed) for every seed in [0, seeds).
+/// Returns the measurements in seed order — bit-identical to a serial loop
+/// for any thread count — for benches with custom reductions. `cache`
+/// (optional) memoizes the clairvoyant optima and the runs (see
+/// ClairvoyantCache). `make` runs on the calling thread, in seed order.
+/// So does every measurement `cache` holds in full (optimum and run); only
+/// the rest fan out across worker threads (common::parallel_for, honoring
+/// QBSS_THREADS), and none start when nothing is left. The memo's hits,
+/// size and counters come out as a serial loop of measure_cached's.
 [[nodiscard]] std::vector<Measurement> measure_seeds(
     const std::function<core::QInstance(std::uint64_t)>& make, int seeds,
     const SingleAlgorithm& algorithm, double alpha,

@@ -1,6 +1,7 @@
 #include "scheduling/edf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -16,10 +17,25 @@ namespace {
 /// above any fixed epsilon while still being pure noise.
 constexpr double kWorkEps = 1e-10;
 
+/// Clips EDF job `job`'s piece to the target's window and adds what is
+/// left, cut the way StepFunction::restricted cuts.
+void add_piece(const EdfTarget& target, std::uint32_t job, Interval span,
+               Speed s) {
+  const Interval cut = span.intersect(target.window);
+  if (cut.empty()) return;
+  const JobId id =
+      target.ids.empty() ? static_cast<JobId>(job) : target.ids[job];
+  target.builder.add_rate(id, cut, s);
+  if (target.executed != nullptr) {
+    target.executed[static_cast<std::size_t>(id)] += cut.length() * s;
+  }
+}
+
 }  // namespace
 
-EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
-  const std::size_t n = instance.size();
+bool edf_into(std::span<const ClassicalJob> jobs, const StepFunction& profile,
+              const EdfTarget& target, bool join, EdfScratch& scratch) {
+  const std::size_t n = jobs.size();
 
   // Elementary grid: releases, deadlines and profile breakpoints. Within an
   // elementary interval the speed is constant and no job arrives/expires.
@@ -27,9 +43,10 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
   // profile.breakpoints() kept: which of a -0.0/+0.0 tie survives a
   // unique depends on the order the sort leaves, and grid values become
   // the schedule's piece bounds.
-  std::vector<Time> grid;
+  std::vector<Time>& grid = scratch.grid;
+  grid.clear();
   grid.reserve(2 * n + 2 * profile.pieces().size());
-  for (const ClassicalJob& j : instance.jobs()) {
+  for (const ClassicalJob& j : jobs) {
     grid.push_back(j.release);
     grid.push_back(j.deadline);
   }
@@ -45,10 +62,11 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
   std::sort(grid.begin(), grid.end());
   grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
 
-  std::vector<Work> remaining(n);
+  std::vector<Work>& remaining = scratch.remaining;
+  remaining.resize(n);
   Work total_work = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    remaining[i] = instance.jobs()[i].work;
+    remaining[i] = jobs[i].work;
     total_work += remaining[i];
   }
   const double work_eps = kWorkEps * std::max(1.0, total_work);
@@ -56,26 +74,52 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
   // Jobs sorted by release feed a (deadline, index) min-heap of released
   // jobs, replacing the original O(n) scan per pick: O((n + cells) log n)
   // overall, same pick order (earliest deadline, lowest index on ties).
-  std::vector<std::uint32_t> by_release(n);
+  std::vector<std::uint32_t>& by_release = scratch.by_release;
+  by_release.resize(n);
   std::iota(by_release.begin(), by_release.end(), 0u);
   std::sort(by_release.begin(), by_release.end(),
-            [&instance](std::uint32_t a, std::uint32_t b) {
-              const double ra = instance.jobs()[a].release;
-              const double rb = instance.jobs()[b].release;
+            [jobs](std::uint32_t a, std::uint32_t b) {
+              const double ra = jobs[a].release;
+              const double rb = jobs[b].release;
               if (ra != rb) return ra < rb;
               return a < b;
             });
-  const auto later = [&instance](std::uint32_t a, std::uint32_t b) {
-    const double da = instance.jobs()[a].deadline;
-    const double db = instance.jobs()[b].deadline;
+  const auto later = [jobs](std::uint32_t a, std::uint32_t b) {
+    const double da = jobs[a].deadline;
+    const double db = jobs[b].deadline;
     if (da != db) return da > db;
     return a > b;
   };
-  std::vector<std::uint32_t> heap;
+  std::vector<std::uint32_t>& heap = scratch.heap;
+  heap.clear();
   heap.reserve(n);
   std::size_t next_release = 0;
 
-  ScheduleBuilder builder(n);
+  // With `join`, the piece still growing: job `open_job` at `open_speed`
+  // on `open`. Pieces come in time order and each has positive length, so
+  // a job's next piece meets its last one only if no other piece came
+  // between them.
+  bool has_open = false;
+  std::uint32_t open_job = 0;
+  Interval open;
+  Speed open_speed = 0.0;
+  const auto emit = [&](std::uint32_t job, Interval span, Speed s) {
+    if (!join) {
+      add_piece(target, job, span, s);
+      return;
+    }
+    if (has_open && open_job == job && open.end == span.begin &&
+        open_speed == s) {
+      open.end = span.end;
+      return;
+    }
+    if (has_open) add_piece(target, open_job, open, open_speed);
+    has_open = true;
+    open_job = job;
+    open = span;
+    open_speed = s;
+  };
+
   bool feasible = true;
   // Capacity that forward snaps (below) ran past a job's work. That job
   // took it from the jobs after it, so each may end short by the total,
@@ -87,15 +131,13 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
     const Time b = grid[g + 1];
     const Speed s = profile.value(b);  // constant on (a, b]
 
-    while (next_release < n &&
-           instance.jobs()[by_release[next_release]].release <= a) {
+    while (next_release < n && jobs[by_release[next_release]].release <= a) {
       heap.push_back(by_release[next_release++]);
       std::push_heap(heap.begin(), heap.end(), later);
     }
     // Expired jobs surface at the heap top (deadline order). One with
     // work pending can never finish.
-    while (!heap.empty() &&
-           instance.jobs()[heap.front()].deadline <= a) {
+    while (!heap.empty() && jobs[heap.front()].deadline <= a) {
       if (remaining[heap.front()] > work_eps + overrun) feasible = false;
       std::pop_heap(heap.begin(), heap.end(), later);
       heap.pop_back();
@@ -125,22 +167,29 @@ EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
         continue;
       }
       const Time until = std::min(b, finish);
-      builder.add_rate(static_cast<JobId>(pick), {cursor, until}, s);
+      emit(pick, {cursor, until}, s);
       const Work left = rem - s * (until - cursor);
       if (left < 0.0) overrun -= left;
       rem = std::max(0.0, left);
       cursor = until;
     }
   }
+  if (has_open) add_piece(target, open_job, open, open_speed);
 
   for (std::size_t i = 0; i < n; ++i) {
     if (remaining[i] > work_eps + overrun) feasible = false;
   }
+  return feasible;
+}
 
+EdfResult edf_allocate(const Instance& instance, const StepFunction& profile) {
+  ScheduleBuilder builder(instance.size());
+  EdfScratch scratch;
   EdfResult out;
-  out.feasible = feasible;
+  out.feasible =
+      edf_into(instance.jobs(), profile, {builder}, /*join=*/false, scratch);
   out.schedule = std::move(builder).build();
-  out.unfinished = std::move(remaining);
+  out.unfinished = std::move(scratch.remaining);
   return out;
 }
 

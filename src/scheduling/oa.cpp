@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "scheduling/edf.hpp"
 #include "scheduling/yds.hpp"
 
 namespace qbss::scheduling {
@@ -31,8 +32,13 @@ Schedule optimal_available(const Instance& instance) {
   const Work sliver = kEps * instance.total_work();
 
   ScheduleBuilder builder(n);
+  std::vector<ClassicalJob> plan;
+  plan.reserve(n);
   std::vector<JobId> plan_ids;
   plan_ids.reserve(n);
+  // Work each job runs in the current replan's window.
+  std::vector<Work> executed(n, 0.0);
+  EdfScratch scratch;
 
   for (std::size_t k = 0; k < arrivals.size(); ++k) {
     const Time now = arrivals[k];
@@ -41,7 +47,7 @@ Schedule optimal_available(const Instance& instance) {
     // Plan: YDS on the remaining work of everything released by `now`.
     // Every plan job is released at `now`, so the plan's rounds run left
     // to right and the ones past `until` need not be solved.
-    Instance plan_instance;
+    plan.clear();
     plan_ids.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const ClassicalJob& j = instance.jobs()[i];
@@ -50,20 +56,19 @@ Schedule optimal_available(const Instance& instance) {
         QBSS_ENSURES(remaining[i] <= sliver);  // OA never misses a deadline
         continue;
       }
-      plan_instance.add(now, j.deadline, remaining[i]);
+      plan.push_back({now, j.deadline, remaining[i]});
       plan_ids.push_back(static_cast<JobId>(i));
+      executed[i] = 0.0;
     }
-    if (plan_instance.empty()) continue;
+    if (plan.empty()) continue;
 
-    const Schedule plan = yds_until(plan_instance, until);
-
-    // Follow the plan until the next arrival (or to completion).
-    for (std::size_t p = 0; p < plan_ids.size(); ++p) {
-      const StepFunction executed =
-          plan.rate(static_cast<JobId>(p)).restricted({now, until});
-      builder.add_rate(plan_ids[p], executed);
-      auto& rem = remaining[static_cast<std::size_t>(plan_ids[p])];
-      rem = std::max(0.0, rem - executed.integral());
+    // Follow the plan until the next arrival (or to completion): its
+    // pieces on (now, until] go straight into the builder.
+    yds_until(plan, until, {builder, plan_ids, {now, until}, executed.data()},
+              scratch);
+    for (const JobId id : plan_ids) {
+      auto& rem = remaining[static_cast<std::size_t>(id)];
+      rem = std::max(0.0, rem - executed[static_cast<std::size_t>(id)]);
     }
   }
 

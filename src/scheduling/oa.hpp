@@ -10,10 +10,14 @@
 // Every replan is a common-release instance (all remaining work is
 // released at `now`), whose critical intervals come out left to right, so
 // each replan peels YDS rounds only until one reaches the next arrival
-// (yds_until); the rest would be discarded. A job whose deadline passes
-// with only a sliver of work left (at most kEps times the instance's total
-// work, the capacity EDF's forward snaps may take from it, see edf.hpp)
-// has met its deadline and leaves the plan; a larger remainder aborts.
+// (yds_until); the rest would be discarded. No plan Schedule is built:
+// each round's EDF pieces on (now, next arrival] go straight into OA's
+// own builder, and the work they carry comes off each job's remainder,
+// summed as the plan rate's integral() over that window would sum it. A
+// job whose deadline passes with only a sliver of work left (at most kEps
+// times the instance's total work, the capacity EDF's forward snaps may
+// take from it, see edf.hpp) has met its deadline and leaves the plan; a
+// larger remainder aborts.
 #pragma once
 
 #include "scheduling/schedule.hpp"

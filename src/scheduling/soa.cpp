@@ -2,12 +2,12 @@
 
 namespace qbss::scheduling {
 
-SoaInstance::SoaInstance(const Instance& instance, SolveArena& arena)
-    : n_(instance.size()),
+SoaInstance::SoaInstance(std::span<const ClassicalJob> jobs,
+                         SolveArena& arena)
+    : n_(jobs.size()),
       release_(arena.alloc<double>(n_)),
       deadline_(arena.alloc<double>(n_)),
       work_(arena.alloc<double>(n_)) {
-  const auto jobs = instance.jobs();
   for (std::size_t i = 0; i < n_; ++i) {
     release_[i] = jobs[i].release;
     deadline_[i] = jobs[i].deadline;

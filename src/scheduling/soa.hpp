@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "scheduling/arena.hpp"
 #include "scheduling/instance.hpp"
@@ -27,7 +28,9 @@ class SoaInstance {
 
   /// Builds the three arrays in `arena`. O(n) copy, no heap traffic once
   /// the arena is warm.
-  SoaInstance(const Instance& instance, SolveArena& arena);
+  SoaInstance(std::span<const ClassicalJob> jobs, SolveArena& arena);
+  SoaInstance(const Instance& instance, SolveArena& arena)
+      : SoaInstance(instance.jobs(), arena) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 

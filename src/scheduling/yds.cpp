@@ -15,12 +15,12 @@ namespace qbss::scheduling {
 
 namespace {
 
-/// Arena-backed scratch for the event-grid critical search. Every array
-/// is carved from the thread-local SolveArena in one shot when the solve
-/// starts; nothing here touches the heap, so a warm arena makes the whole
-/// solve allocation-free outside the Schedule it returns (and the
-/// per-round EDF sub-allocation, which is bounded by the round's
-/// contained set, not by n).
+/// Arena-backed scratch for the event-grid critical search and each
+/// round's EDF instance. Every array is carved from the thread-local
+/// SolveArena in one shot when the solve starts; nothing here touches the
+/// heap, so a warm arena leaves only the builder's pieces, each round's
+/// slots and profile, and EDF's scratch (allocated once per solve) to the
+/// heap.
 struct FastWorkspace {
   SoaInstance soa;
   unsigned char* done = nullptr;     ///< 0/1 per job
@@ -32,9 +32,11 @@ struct FastWorkspace {
   double* used_at_start = nullptr;   ///< used-measure of (-inf, t] per start
   double* used_at_end = nullptr;     ///< same per end
   std::uint32_t* contained = nullptr;  ///< the winning round's job set
+  ClassicalJob* round_jobs = nullptr;  ///< contained jobs, EDF's instance
+  JobId* round_ids = nullptr;          ///< builder job of each round job
 
-  FastWorkspace(const Instance& instance, SolveArena& arena)
-      : soa(instance, arena) {
+  FastWorkspace(std::span<const ClassicalJob> jobs, SolveArena& arena)
+      : soa(jobs, arena) {
     const std::size_t n = soa.size();
     done = arena.alloc<unsigned char>(n);
     starts = arena.alloc<double>(n);
@@ -45,6 +47,8 @@ struct FastWorkspace {
     used_at_start = arena.alloc<double>(n);
     used_at_end = arena.alloc<double>(n);
     contained = arena.alloc<std::uint32_t>(n);
+    round_jobs = arena.alloc<ClassicalJob>(n);
+    round_ids = arena.alloc<JobId>(n);
   }
 };
 
@@ -171,23 +175,26 @@ FastCritical find_critical_fast(FastWorkspace& ws, const IntervalSet& used) {
 /// differ in the last bit, and tests/test_perf_core.cpp checks the speed
 /// profile and energy against the oracle across every generator family.
 /// The loop stops after the round whose critical interval reaches
-/// `horizon` (see yds_until).
-Schedule yds_fast(const Instance& instance, Time horizon) {
+/// `horizon` (see yds_until). Each round's EDF writes its pieces straight
+/// into `out`, joined as the round's own build() would have merged them,
+/// and works in `scratch`.
+void yds_fast(std::span<const ClassicalJob> jobs, Time horizon,
+              const EdfTarget& out, EdfScratch& scratch) {
   // The thread arena is rewound at entry: blocks persist across solves,
   // so a warm thread performs zero heap allocations here. yds() must not
   // be re-entered from inside a solve on the same thread (no caller does;
   // EDF and the step-function algebra never call back into yds).
   SolveArena& arena = solve_arena();
   arena.reset();
-  FastWorkspace ws(instance, arena);
+  FastWorkspace ws(jobs, arena);
 
   const std::size_t n = ws.soa.size();
   const double* rel = ws.soa.release();
   const double* dl = ws.soa.deadline();
   const double* wk = ws.soa.work();
+  QBSS_EXPECTS(out.ids.empty() || out.ids.size() == n);
 
   IntervalSet used;
-  ScheduleBuilder builder(n);
   std::size_t left = n;
 
   // Zero-work jobs never influence intensities; mark them done upfront.
@@ -207,51 +214,55 @@ Schedule yds_fast(const Instance& instance, Time horizon) {
       profile.add_constant(g, crit.intensity);
     }
 
-    Instance sub;
-    for (std::size_t k = 0; k < crit.contained_count; ++k) {
+    const std::size_t c = crit.contained_count;
+    for (std::size_t k = 0; k < c; ++k) {
       const std::size_t id = ws.contained[k];
-      sub.add(rel[id], dl[id], wk[id]);
+      ws.round_jobs[k] = ClassicalJob{rel[id], dl[id], wk[id]};
+      ws.round_ids[k] = out.ids.empty() ? static_cast<JobId>(id) : out.ids[id];
     }
-    const EdfResult packed = edf_allocate(sub, profile);
-    QBSS_ENSURES(packed.feasible);
-    for (std::size_t k = 0; k < crit.contained_count; ++k) {
-      builder.add_rate(static_cast<JobId>(ws.contained[k]),
-                       packed.schedule.rate(static_cast<JobId>(k)));
-    }
+    EdfTarget round = out;
+    round.ids = {ws.round_ids, c};
+    const bool packed =
+        edf_into({ws.round_jobs, c}, profile, round, /*join=*/true, scratch);
+    QBSS_ENSURES(packed);
 
     used.insert(crit.span);
-    for (std::size_t k = 0; k < crit.contained_count; ++k) {
+    for (std::size_t k = 0; k < c; ++k) {
       ws.done[ws.contained[k]] = 1;
       --left;
     }
     if (crit.span.end >= horizon) break;
   }
+}
 
-  return std::move(builder).build();
+/// yds_until's precondition: a finite horizon needs a common release.
+void expect_common_release(std::span<const ClassicalJob> jobs, Time horizon) {
+  if (horizon == kInf) return;
+  for (const ClassicalJob& j : jobs) {
+    QBSS_EXPECTS(j.release == jobs[0].release);
+  }
 }
 
 }  // namespace
 
 bool yds_simd_compiled() { return false; }
 
-Schedule yds(const Instance& instance) {
-  QBSS_SPAN("yds.solve");
-  return yds_fast(instance, kInf);
-}
+Schedule yds(const Instance& instance) { return yds_until(instance, kInf); }
 
 Schedule yds_until(const Instance& instance, Time horizon) {
   QBSS_SPAN("yds.solve");
-  if (horizon != kInf && !instance.empty()) {
-    const Time release = instance.jobs()[0].release;
-    for (const ClassicalJob& j : instance.jobs()) {
-      QBSS_EXPECTS(j.release == release);
-    }
-  }
-  return yds_fast(instance, horizon);
+  expect_common_release(instance.jobs(), horizon);
+  ScheduleBuilder builder(instance.size());
+  EdfScratch scratch;
+  yds_fast(instance.jobs(), horizon, {builder}, scratch);
+  return std::move(builder).build();
 }
 
-StepFunction yds_profile(const Instance& instance) {
-  return yds(instance).speed();
+void yds_until(std::span<const ClassicalJob> jobs, Time horizon,
+               const EdfTarget& out, EdfScratch& scratch) {
+  QBSS_SPAN("yds.solve");
+  expect_common_release(jobs, horizon);
+  yds_fast(jobs, horizon, out, scratch);
 }
 
 Energy optimal_energy(const Instance& instance, double alpha) {

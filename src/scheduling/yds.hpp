@@ -16,10 +16,15 @@
 // brute-force optima. The direct-scan solver the fast path replaced,
 // yds_reference, lives with the tests (tests/oracles.hpp) as the
 // differential oracle; nothing in the library calls it.
+//
+// Each round's EDF (edf_into) writes its pieces straight into one
+// ScheduleBuilder: yds() builds one Schedule per solve, and OA's replans
+// build none (the pieces go into OA's own builder). The tests keep the
+// solver that built a Schedule per round (oracle::yds) and compare every
+// piece against it bit for bit.
 #pragma once
 
-#include <vector>
-
+#include "scheduling/edf.hpp"
 #include "scheduling/schedule.hpp"
 
 namespace qbss::scheduling {
@@ -32,7 +37,8 @@ namespace qbss::scheduling {
 /// O(n log n) setup plus one density-scan row per distinct release (the
 /// direct-scan oracle pays another factor n per candidate). All scratch
 /// comes from the arena: on a warm thread the solve performs zero heap
-/// allocations outside the returned Schedule (see docs/PERFORMANCE.md).
+/// allocations outside the returned Schedule, the rounds' slots and
+/// profiles and EDF's scratch (see docs/PERFORMANCE.md).
 /// Precondition: instance jobs are valid (enforced by Instance).
 [[nodiscard]] Schedule yds(const Instance& instance);
 
@@ -50,9 +56,15 @@ namespace qbss::scheduling {
 /// finite `horizon` needs all releases equal (checked); kInf is yds().
 [[nodiscard]] Schedule yds_until(const Instance& instance, Time horizon);
 
-/// The optimal speed profile only (same cost as yds() today; kept separate
-/// because several callers — OA, CRP2D — need just the profile).
-[[nodiscard]] StepFunction yds_profile(const Instance& instance);
+/// yds_until's rounds on `jobs` (valid jobs, as an Instance holds) added
+/// to `out` instead of a Schedule of their own: job j's pieces go to
+/// out.builder as job out.ids[j], clipped to out.window, each the piece
+/// yds_until's Schedule has (before clipping), bit for bit. EDF works in
+/// `scratch`, which a caller solving many plans keeps across them. OA's
+/// replans call it with the window up to the next arrival. Precondition:
+/// `out.ids` is empty or has one id per job.
+void yds_until(std::span<const ClassicalJob> jobs, Time horizon,
+               const EdfTarget& out, EdfScratch& scratch);
 
 /// Minimum energy for `instance` under exponent `alpha`.
 [[nodiscard]] Energy optimal_energy(const Instance& instance, double alpha);

@@ -9,6 +9,10 @@
 #include "common/constants.hpp"
 #include "common/interval_set.hpp"
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
+#include "scheduling/arena.hpp"
+#include "scheduling/density_scan.hpp"
+#include "scheduling/soa.hpp"
 #include "scheduling/yds.hpp"
 
 namespace qbss::scheduling::oracle {
@@ -134,10 +138,244 @@ constexpr double kEdfWorkEps = 1e-10;
 /// OA's threshold for work already done.
 constexpr double kWorkEps = 1e-10;
 
+// --- The fast YDS path as it was before its rounds wrote into one builder
+
+/// Arena-backed scratch for the event-grid critical search. Every array
+/// is carved from the thread-local SolveArena in one shot when the solve
+/// starts; nothing here touches the heap, so a warm arena makes the whole
+/// solve allocation-free outside the Schedule it returns (and the
+/// per-round EDF sub-allocation, which is bounded by the round's
+/// contained set, not by n).
+struct FastWorkspace {
+  SoaInstance soa;
+  unsigned char* done = nullptr;     ///< 0/1 per job
+  double* starts = nullptr;          ///< distinct releases of remaining jobs
+  double* ends = nullptr;            ///< distinct deadlines of remaining jobs
+  std::uint32_t* by_release = nullptr;  ///< remaining jobs, release-descending
+  std::uint32_t* rank = nullptr;     ///< deadline rank per by_release entry
+  double* work_at_rank = nullptr;    ///< work keyed by deadline rank
+  double* used_at_start = nullptr;   ///< used-measure of (-inf, t] per start
+  double* used_at_end = nullptr;     ///< same per end
+  std::uint32_t* contained = nullptr;  ///< the winning round's job set
+
+  FastWorkspace(const Instance& instance, SolveArena& arena)
+      : soa(instance, arena) {
+    const std::size_t n = soa.size();
+    done = arena.alloc<unsigned char>(n);
+    starts = arena.alloc<double>(n);
+    ends = arena.alloc<double>(n);
+    by_release = arena.alloc<std::uint32_t>(n);
+    rank = arena.alloc<std::uint32_t>(n);
+    work_at_rank = arena.alloc<double>(n);
+    used_at_start = arena.alloc<double>(n);
+    used_at_end = arena.alloc<double>(n);
+    contained = arena.alloc<std::uint32_t>(n);
+  }
+};
+
+/// Cumulative occupancy sweep: out[k] = |used ∩ (-inf, times[k]]| for the
+/// ascending `times`. One pass over the sorted disjoint members.
+void cumulative_used(const IntervalSet& used, const double* times,
+                     std::size_t count, double* out) {
+  const auto& members = used.members();
+  std::size_t m = 0;
+  Time before = 0.0;  // total length of members fully left of times[k]
+  for (std::size_t k = 0; k < count; ++k) {
+    const Time t = times[k];
+    while (m < members.size() && members[m].end <= t) {
+      before += members[m].length();
+      ++m;
+    }
+    Time partial = 0.0;
+    if (m < members.size() && members[m].begin < t) {
+      partial = t - members[m].begin;
+    }
+    out[k] = before + partial;
+  }
+}
+
+/// One round's critical interval and intensity; the contained set lives in
+/// the workspace (no heap).
+struct FastCritical {
+  Interval span;
+  double intensity = -1.0;
+  std::size_t contained_count = 0;
+};
+
+/// Event-grid critical search over the SoA view: O(n log n) setup plus
+/// one density-scan row per distinct release. Containment work is a
+/// prefix sum over deadline ranks of the jobs whose release clears the
+/// candidate start; occupancy is a cumulative sweep of the disjoint
+/// `used` members, so each candidate costs O(1). Rows scan only their
+/// admissible suffix [min entered rank, E): everything below it has zero
+/// contained work, and every end from there on lies right of t1 (an
+/// entered job's deadline exceeds its release >= t1).
+FastCritical find_critical_fast(FastWorkspace& ws, const IntervalSet& used) {
+  const std::size_t n = ws.soa.size();
+  const double* rel = ws.soa.release();
+  const double* dl = ws.soa.deadline();
+  const double* wk = ws.soa.work();
+
+  std::size_t s_count = 0;
+  std::size_t e_count = 0;
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ws.done[i]) continue;
+    ws.starts[s_count++] = rel[i];
+    ws.ends[e_count++] = dl[i];
+    ws.by_release[m++] = static_cast<std::uint32_t>(i);
+  }
+  std::sort(ws.starts, ws.starts + s_count);
+  s_count = static_cast<std::size_t>(
+      std::unique(ws.starts, ws.starts + s_count) - ws.starts);
+  std::sort(ws.ends, ws.ends + e_count);
+  e_count = static_cast<std::size_t>(std::unique(ws.ends, ws.ends + e_count) -
+                                     ws.ends);
+  std::sort(ws.by_release, ws.by_release + m,
+            [rel](std::uint32_t a, std::uint32_t b) { return rel[a] > rel[b]; });
+  for (std::size_t k = 0; k < m; ++k) {
+    ws.rank[k] = static_cast<std::uint32_t>(
+        std::lower_bound(ws.ends, ws.ends + e_count, dl[ws.by_release[k]]) -
+        ws.ends);
+  }
+
+  cumulative_used(used, ws.starts, s_count, ws.used_at_start);
+  cumulative_used(used, ws.ends, e_count, ws.used_at_end);
+  std::fill_n(ws.work_at_rank, e_count, 0.0);
+
+  FastCritical best;
+  std::size_t next = 0;  // cursor into by_release
+  std::size_t min_rank = e_count;  // lowest deadline rank entered so far
+  std::size_t scanned = 0;
+  // Sweep candidate starts from the right: each remaining job enters the
+  // deadline-rank histogram exactly once, when t1 drops to its release.
+  for (std::size_t si = s_count; si-- > 0;) {
+    const double t1 = ws.starts[si];
+    while (next < m && rel[ws.by_release[next]] >= t1) {
+      const std::size_t r = ws.rank[next];
+      ws.work_at_rank[r] += wk[ws.by_release[next]];
+      min_rank = r < min_rank ? r : min_rank;
+      ++next;
+    }
+    scanned += e_count - min_rank;
+    const RowScan row =
+        density_row(0.0, t1, ws.used_at_start[si], ws.work_at_rank, ws.ends,
+                    ws.used_at_end, min_rank, e_count);
+    // Ties resolve to the lexicographically smallest (t1, t2), matching the
+    // reference scan order: the kernel keeps the smallest t2 in-row, and t1
+    // strictly decreases across rows, so >= prefers the later (smaller) t1.
+    if (row.intensity >= best.intensity) {
+      best.span = {t1, ws.ends[row.index]};
+      best.intensity = row.intensity;
+    }
+  }
+
+  // Counter adds happen once per round (outside the scan loops), so the
+  // instrumented hot path costs a few relaxed fetch_adds per round.
+  QBSS_COUNT_ADD("yds.candidates_scanned",
+                 static_cast<std::uint64_t>(scanned));
+  QBSS_COUNT_ADD("yds.rows_scanned", static_cast<std::uint64_t>(s_count));
+
+  // Materialize the contained set only for the winner (job-index order,
+  // like the reference, so the EDF sub-instance is identical).
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ws.done[i]) continue;
+    if (best.span.covers(Interval{rel[i], dl[i]})) {
+      ws.contained[c++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  best.contained_count = c;
+  return best;
+}
+
+/// Fast peeling loop: SoA view + arena scratch + the density-scan kernel.
+/// Selects the critical intervals of the direct-scan oracle
+/// (tests/oracles.cpp) with the same tie-breaks; it sums contained work
+/// in deadline-rank order rather than job order, so intensities can
+/// differ in the last bit, and tests/test_perf_core.cpp checks the speed
+/// profile and energy against the oracle across every generator family.
+/// The loop stops after the round whose critical interval reaches
+/// `horizon` (see yds_until). Each round's EDF builds a Schedule of its
+/// own, whose rates are copied into the solve's builder.
+Schedule yds_fast(const Instance& instance, Time horizon) {
+  // The thread arena is rewound at entry: blocks persist across solves,
+  // so a warm thread performs zero heap allocations here. yds() must not
+  // be re-entered from inside a solve on the same thread (no caller does;
+  // EDF and the step-function algebra never call back into yds).
+  SolveArena& arena = solve_arena();
+  arena.reset();
+  FastWorkspace ws(instance, arena);
+
+  const std::size_t n = ws.soa.size();
+  const double* rel = ws.soa.release();
+  const double* dl = ws.soa.deadline();
+  const double* wk = ws.soa.work();
+
+  IntervalSet used;
+  ScheduleBuilder builder(n);
+  std::size_t left = n;
+
+  // Zero-work jobs never influence intensities; mark them done upfront.
+  for (std::size_t i = 0; i < n; ++i) {
+    ws.done[i] = wk[i] == 0.0 ? 1 : 0;
+    if (ws.done[i]) --left;
+  }
+
+  while (left > 0) {
+    QBSS_COUNT("yds.rounds");
+    const FastCritical crit = find_critical_fast(ws, used);
+    QBSS_ENSURES(crit.contained_count > 0);
+
+    const std::vector<Interval> slots = used.gaps_within(crit.span);
+    StepFunction profile;
+    for (const Interval& g : slots) {
+      profile.add_constant(g, crit.intensity);
+    }
+
+    Instance sub;
+    for (std::size_t k = 0; k < crit.contained_count; ++k) {
+      const std::size_t id = ws.contained[k];
+      sub.add(rel[id], dl[id], wk[id]);
+    }
+    const EdfResult packed = scheduling::edf_allocate(sub, profile);
+    QBSS_ENSURES(packed.feasible);
+    for (std::size_t k = 0; k < crit.contained_count; ++k) {
+      builder.add_rate(static_cast<JobId>(ws.contained[k]),
+                       packed.schedule.rate(static_cast<JobId>(k)));
+    }
+
+    used.insert(crit.span);
+    for (std::size_t k = 0; k < crit.contained_count; ++k) {
+      ws.done[ws.contained[k]] = 1;
+      --left;
+    }
+    if (crit.span.end >= horizon) break;
+  }
+
+  return std::move(builder).build();
+}
+
 }  // namespace
 
 Schedule yds_reference(const Instance& instance) {
   return yds_peel(instance, find_critical_reference);
+}
+
+Schedule yds(const Instance& instance) {
+  QBSS_SPAN("yds.solve");
+  return yds_fast(instance, kInf);
+}
+
+Schedule yds_until(const Instance& instance, Time horizon) {
+  QBSS_SPAN("yds.solve");
+  if (horizon != kInf && !instance.empty()) {
+    const Time release = instance.jobs()[0].release;
+    for (const ClassicalJob& j : instance.jobs()) {
+      QBSS_EXPECTS(j.release == release);
+    }
+  }
+  return yds_fast(instance, horizon);
 }
 
 StepFunction bkp_profile(const Instance& instance) {
@@ -347,7 +585,7 @@ Schedule optimal_available(const Instance& instance) {
     }
     if (plan_instance.empty()) continue;
 
-    const Schedule plan = yds(plan_instance);
+    const Schedule plan = oracle::yds(plan_instance);
 
     // Follow the plan until the next arrival (or to completion).
     for (std::size_t p = 0; p < plan_ids.size(); ++p) {

@@ -203,7 +203,7 @@ TEST(Crp2dAnalysis, Lemma411PointwiseSpeedBound) {
     const QInstance inst = gen::random_pow2_deadlines(8, 3, seed);
     const QbssRun run = crp2d(inst);
     const AnalysisInstances ai = crp2d_analysis_instances(inst);
-    const StepFunction opt_half = scheduling::yds_profile(ai.half);
+    const StepFunction opt_half = scheduling::yds(ai.half).speed();
     for (const Segment& p : run.schedule.speed().pieces()) {
       const Time probe = 0.5 * (p.span.begin + p.span.end);
       EXPECT_LE(p.value, 2.0 * opt_half.value(probe) + 1e-9)

@@ -1,13 +1,15 @@
-// BKP, OA and their QBSS wrappers against the test oracles (oracles.hpp),
-// bit for bit: every piece of speed(), every rate(j), the nominal profile
-// and the feasibility verdict. The inputs are the ratio sweep's five
-// families, the service benchmark's request families at n = 16, 32 and
-// 64, and edge cases (one job, equal releases, equal deadlines, a -0.0
-// release, denormal work). Also: the step-function append against
-// plus(), and the instances on which EDF's forward snaps used to abort
-// YDS and OA.
+// YDS, BKP, OA and their QBSS wrappers against the test oracles
+// (oracles.hpp), bit for bit: every piece of speed(), every rate(j), the
+// nominal profile and the feasibility verdict. YDS is checked through
+// yds(), yds_until() on common-release plans and the clairvoyant optimum.
+// The inputs are the ratio sweep's five families, the service benchmark's
+// request families at n = 16, 32 and 64, and edge cases (one job, equal
+// releases, equal deadlines, a -0.0 release, denormal work, zero-work
+// jobs). Also: the step-function append against plus(), and the
+// instances on which EDF's forward snaps used to abort YDS and OA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -19,6 +21,7 @@
 #include "gen/random_instances.hpp"
 #include "oracles.hpp"
 #include "qbss/bkpq.hpp"
+#include "qbss/clairvoyant.hpp"
 #include "qbss/generic.hpp"
 #include "qbss/oaq.hpp"
 #include "qbss/transform.hpp"
@@ -67,6 +70,35 @@ void expect_same_schedule(const Schedule& got, const Schedule& want,
   }
 }
 
+/// yds() on `inst`, and yds_until() on the common-release plans OA would
+/// solve at each of its releases (every job still due, released then,
+/// with its full work) up to the next release and without a horizon.
+void expect_same_yds(const Instance& inst, const std::string& what) {
+  expect_same_schedule(scheduling::yds(inst), scheduling::oracle::yds(inst),
+                       what + " yds");
+  std::vector<Time> releases;
+  for (const scheduling::ClassicalJob& j : inst.jobs()) {
+    releases.push_back(j.release);
+  }
+  std::sort(releases.begin(), releases.end());
+  releases.erase(std::unique(releases.begin(), releases.end()),
+                 releases.end());
+  for (std::size_t k = 0; k < releases.size(); ++k) {
+    Instance plan;
+    for (const scheduling::ClassicalJob& j : inst.jobs()) {
+      if (j.deadline > releases[k]) plan.add(releases[k], j.deadline, j.work);
+    }
+    const Time next = k + 1 < releases.size() ? releases[k + 1] : kInf;
+    for (const Time horizon : {next, kInf}) {
+      expect_same_schedule(
+          scheduling::yds_until(plan, horizon),
+          scheduling::oracle::yds_until(plan, horizon),
+          what + " yds_until(plan at " + std::to_string(releases[k]) +
+              ", " + std::to_string(horizon) + ")");
+    }
+  }
+}
+
 void expect_same_bkp(const Instance& inst, const std::string& what) {
   const scheduling::OnlineRun got = scheduling::bkp(inst);
   const scheduling::OnlineRun want = scheduling::oracle::bkp(inst);
@@ -107,6 +139,10 @@ void expect_same_oa_run(const core::QbssRun& got, const core::QInstance& q,
 
 void expect_same_everywhere(const core::QInstance& q, const std::string& what) {
   const Instance clairvoyant = core::clairvoyant_instance(q);
+  expect_same_yds(clairvoyant, what + " clairvoyant");
+  expect_same_schedule(core::clairvoyant_schedule(q),
+                       scheduling::oracle::yds(clairvoyant),
+                       what + " clairvoyant_schedule");
   expect_same_bkp(clairvoyant, what + " clairvoyant");
   expect_same_oa(clairvoyant, what + " clairvoyant");
 
@@ -196,7 +232,15 @@ TEST(OnlineOracles, EdgeCasesMatchBitForBit) {
   denormal.add(kDenormal, 3.0, kDenormal);
   denormal.add(1.0, 2.5, 0.0);
   classical.emplace_back("denormal work", denormal);
+  Instance zero_work;
+  zero_work.add(0.0, 2.0, 0.0);
+  zero_work.add(0.0, 3.0, 1.0);
+  zero_work.add(1.0, 3.0, 0.0);
+  zero_work.add(1.0, 4.0, 2.0);
+  zero_work.add(2.5, 3.5, 0.0);
+  classical.emplace_back("zero-work jobs", zero_work);
   for (const auto& [what, inst] : classical) {
+    expect_same_yds(inst, what);
     expect_same_bkp(inst, what);
     expect_same_oa(inst, what);
   }

@@ -1,7 +1,9 @@
 // The deterministic fan-out substrate: parallel_for index coverage and
 // exception plumbing, the clairvoyant and run memo, and bit-identical
 // parallel sweeps — the invariants every bench table's byte-stability
-// rests on.
+// rests on. measure_seeds answers memoized seeds on the calling thread:
+// its results, memo statistics and counters must be those of a serial
+// measure_cached loop however warm the memo is.
 #include "common/parallel_for.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "qbss/crcd.hpp"
 #include "qbss/crp2d.hpp"
 #include "qbss/oaq.hpp"
+#include "obs/registry.hpp"
 #include "qbss/run.hpp"
 #include "scheduling/schedule.hpp"
 
@@ -302,6 +305,142 @@ TEST(MeasureCached, AlgorithmsOnOneInstanceKeepTheirOwnRuns) {
     EXPECT_FALSE(same_bits(by_avrq, by_bkpq)) << "alpha " << alpha;
   }
   EXPECT_EQ(cache.size(), 1u);  // one instance, one optimum
+}
+
+/// How warm the memo is before measure_seeds runs.
+enum class Warmth { kCold, kWarm, kEvenSeeds, kOptimumOnly };
+
+const char* name(Warmth w) {
+  switch (w) {
+    case Warmth::kCold: return "cold";
+    case Warmth::kWarm: return "warm";
+    case Warmth::kEvenSeeds: return "even seeds warm";
+    case Warmth::kOptimumOnly: return "optimum only";
+  }
+  return "?";
+}
+
+constexpr int kWarmthSeeds = 12;
+constexpr double kWarmthAlpha = 2.5;
+
+/// Brings a fresh memo to `w` through measure_cached, at another alpha
+/// (runs are alpha-free, so this warms them as well).
+void warm_up(analysis::ClairvoyantCache& cache, Warmth w) {
+  const Make make = online_family();
+  for (int s = 0; s < kWarmthSeeds; ++s) {
+    const core::QInstance inst = make(static_cast<std::uint64_t>(s));
+    if (w == Warmth::kWarm || (w == Warmth::kEvenSeeds && s % 2 == 0)) {
+      static_cast<void>(analysis::measure_cached(inst, core::avrq, 2.0, cache));
+    } else if (w == Warmth::kOptimumOnly) {
+      static_cast<void>(analysis::measure_cached(inst, core::bkpq, 2.0, cache));
+    }
+  }
+}
+
+/// What a measurement changes: the memo's statistics and, with
+/// observability compiled in, its counters and the fan-out's.
+struct MemoDelta {
+  std::size_t size = 0;
+  std::size_t hits = 0;
+  std::vector<std::uint64_t> counters;
+};
+
+const char* const kDeltaCounters[] = {
+    "cache.clairvoyant.hit", "cache.clairvoyant.miss", "cache.run.hit",
+    "cache.run.miss",        "parallel_for.calls",     "parallel_for.tasks"};
+
+std::vector<std::uint64_t> delta_counters() {
+  std::vector<std::uint64_t> out;
+  for (const char* c : kDeltaCounters) {
+    out.push_back(obs::registry().counter(c).get());
+  }
+  return out;
+}
+
+template <typename Body>
+MemoDelta measure_delta(const analysis::ClairvoyantCache& cache, Body body) {
+  const std::vector<std::uint64_t> before = delta_counters();
+  body();
+  MemoDelta d{cache.size(), cache.hits(), delta_counters()};
+  for (std::size_t k = 0; k < before.size(); ++k) d.counters[k] -= before[k];
+  return d;
+}
+
+TEST(MeasureSeeds, AnyWarmthMatchesASerialMeasureCachedLoop) {
+  const Make make = online_family();
+  for (const Warmth w : {Warmth::kCold, Warmth::kWarm, Warmth::kEvenSeeds,
+                         Warmth::kOptimumOnly}) {
+    // The reference: a serial measure_cached loop on a fresh memo.
+    analysis::ClairvoyantCache serial_cache;
+    warm_up(serial_cache, w);
+    std::vector<analysis::Measurement> serial;
+    const MemoDelta want = measure_delta(serial_cache, [&] {
+      for (int s = 0; s < kWarmthSeeds; ++s) {
+        serial.push_back(analysis::measure_cached(
+            make(static_cast<std::uint64_t>(s)), core::avrq, kWarmthAlpha,
+            serial_cache));
+      }
+    });
+
+    for (const char* threads : {"1", "4"}) {
+      ThreadsEnv env(threads);
+      analysis::ClairvoyantCache cache;
+      warm_up(cache, w);
+      std::vector<analysis::Measurement> swept;
+      const MemoDelta got = measure_delta(cache, [&] {
+        swept = analysis::measure_seeds(make, kWarmthSeeds, core::avrq,
+                                        kWarmthAlpha, &cache);
+      });
+      const std::string what =
+          std::string(name(w)) + ", " + threads + " threads";
+      ASSERT_EQ(swept.size(), serial.size()) << what;
+      for (std::size_t s = 0; s < serial.size(); ++s) {
+        EXPECT_TRUE(same_bits(swept[s], serial[s])) << what << " seed " << s;
+      }
+      EXPECT_EQ(got.size, want.size) << what;
+      EXPECT_EQ(got.hits, want.hits) << what;
+#ifndef QBSS_OBS_OFF
+      // The memo counters as the serial loop moved them; the fan-out
+      // takes exactly the seeds whose run missed, and starts no pool
+      // when there are none.
+      for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(got.counters[k], want.counters[k])
+            << what << ": " << kDeltaCounters[k];
+      }
+      const std::uint64_t misses = want.counters[3];
+      EXPECT_EQ(got.counters[5], misses) << what << ": parallel_for.tasks";
+      EXPECT_EQ(got.counters[4], misses > 0 ? 1u : 0u)
+          << what << ": parallel_for.calls";
+      if (w == Warmth::kWarm) {
+        EXPECT_EQ(misses, 0u) << what;
+      } else if (w == Warmth::kEvenSeeds) {
+        EXPECT_EQ(misses, static_cast<std::uint64_t>(kWarmthSeeds / 2)) << what;
+      }
+#endif
+    }
+  }
+}
+
+TEST(MeasureSeeds, AnExceptionFromMakeReachesTheCaller) {
+  const Make throwing = [](std::uint64_t s) {
+    if (s == 5) throw std::runtime_error("make failed");
+    return online_family()(s);
+  };
+  for (const char* threads : {"1", "4"}) {
+    ThreadsEnv env(threads);
+    for (const Warmth w : {Warmth::kCold, Warmth::kWarm}) {
+      analysis::ClairvoyantCache cache;
+      warm_up(cache, w);
+      EXPECT_THROW(static_cast<void>(analysis::measure_seeds(
+                       throwing, kWarmthSeeds, core::avrq, 2.0, &cache)),
+                   std::runtime_error)
+          << name(w) << ", " << threads << " threads";
+    }
+    EXPECT_THROW(static_cast<void>(analysis::measure_seeds(
+                     throwing, kWarmthSeeds, core::avrq, 2.0, nullptr)),
+                 std::runtime_error)
+        << "no memo, " << threads << " threads";
+  }
 }
 
 void expect_same_aggregate(const analysis::Aggregate& a,
