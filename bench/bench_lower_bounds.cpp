@@ -57,7 +57,7 @@ int main() {
 
   std::printf("\nLemma 4.4 — randomized oracle-model games:\n");
   std::printf("  speed game value: %.6f (stated 4/3 = %.6f)\n",
-              lemma44_speed_game_value(), 4.0 / 3.0);
+              lemma44_speed_game_value(), analysis::randomized_speed_lower());
   std::printf("%-8s %16s %18s\n", "alpha", "energy game", "(1+phi^a)/2");
   rule(44);
   for (const double a : alphas) {

@@ -60,11 +60,6 @@ double randomized_energy_lower(double alpha) {
 
 double equal_window_speed_lower() { return 3.0; }
 
-double equal_window_energy_lower(double alpha) {
-  expect_alpha(alpha);
-  return std::pow(3.0, alpha - 1.0);
-}
-
 double crcd_energy_upper(double alpha) {
   expect_alpha(alpha);
   return std::min(std::pow(2.0, alpha - 1.0) * std::pow(kPhi, alpha),

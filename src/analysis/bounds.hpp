@@ -39,9 +39,8 @@ namespace qbss::analysis {
 [[nodiscard]] double randomized_speed_lower();
 [[nodiscard]] double randomized_energy_lower(double alpha);
 
-/// Equal-window lower bounds (Lemma 4.5): 3 speed, 3^(a-1) energy.
+/// Equal-window speed lower bound (Lemma 4.5): 3.
 [[nodiscard]] double equal_window_speed_lower();
-[[nodiscard]] double equal_window_energy_lower(double alpha);
 
 /// CRCD (Theorem 4.6): min{2^(a-1) phi^a, 2^a} energy, 2 max speed.
 [[nodiscard]] double crcd_energy_upper(double alpha);

@@ -3,6 +3,7 @@
 // unavailable time.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/interval.hpp"
@@ -14,25 +15,26 @@ class IntervalSet {
  public:
   IntervalSet() = default;
 
-  /// Adds `iv` (unioning with any overlapping members).
+  /// Adds `iv` (unioning with any overlapping or touching members), in
+  /// place: the members it meets are one run, which becomes their union.
   void insert(Interval iv) {
     if (iv.empty()) return;
-    std::vector<Interval> out;
-    out.reserve(members_.size() + 1);
-    for (const Interval& m : members_) {
-      if (m.end < iv.begin || iv.end < m.begin) {
-        out.push_back(m);  // disjoint, not even touching
-      } else {             // overlapping or adjacent: absorb into iv
-        iv.begin = std::min(iv.begin, m.begin);
-        iv.end = std::max(iv.end, m.end);
-      }
+    // Members strictly left of iv, then the run it meets.
+    auto first = std::find_if(
+        members_.begin(), members_.end(),
+        [&](const Interval& m) { return !(m.end < iv.begin); });
+    auto last = first;
+    while (last != members_.end() && !(iv.end < last->begin)) {
+      iv.begin = std::min(iv.begin, last->begin);
+      iv.end = std::max(iv.end, last->end);
+      ++last;
     }
-    out.push_back(iv);
-    std::sort(out.begin(), out.end(),
-              [](const Interval& a, const Interval& b) {
-                return a.begin < b.begin;
-              });
-    members_ = std::move(out);
+    if (first == last) {
+      members_.insert(first, iv);
+    } else {
+      *first = iv;
+      members_.erase(first + 1, last);
+    }
   }
 
   /// Total length covered within `iv`.
@@ -52,6 +54,13 @@ class IntervalSet {
   /// The parts of `iv` NOT covered by this set, in increasing order.
   [[nodiscard]] std::vector<Interval> gaps_within(Interval iv) const {
     std::vector<Interval> out;
+    gaps_within(iv, out);
+    return out;
+  }
+
+  /// Same, into `out` (cleared first), for a caller that keeps the buffer.
+  void gaps_within(Interval iv, std::vector<Interval>& out) const {
+    out.clear();
     Time cursor = iv.begin;
     for (const Interval& m : members_) {
       const Interval cut = m.intersect(iv);
@@ -60,7 +69,6 @@ class IntervalSet {
       cursor = std::max(cursor, cut.end);
     }
     if (cursor < iv.end) out.push_back({cursor, iv.end});
-    return out;
   }
 
   /// True iff `t` lies in some member (half-open test).
@@ -75,6 +83,9 @@ class IntervalSet {
     return members_;
   }
   [[nodiscard]] bool empty() const noexcept { return members_.empty(); }
+
+  /// Removes every member, keeping the buffer's capacity.
+  void clear() noexcept { members_.clear(); }
 
  private:
   std::vector<Interval> members_;

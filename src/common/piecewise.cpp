@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -27,6 +28,57 @@ std::vector<Time> merged_boundaries(const std::vector<Segment>& a,
   return ts;
 }
 
+/// True iff sum_of's event sort would leave the events of `pieces`
+/// (begin, end, begin, end, ...) as they come: the pieces are non-empty,
+/// sorted, and no two overlap or touch, so every event time is distinct
+/// and any sort gives this order. (Touching pieces tie an end with the
+/// next begin, and an unstable sort may swap the two.)
+bool in_event_order(std::span<const Segment> pieces) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    const Interval& span = pieces[i].span;
+    if (!(span.begin < span.end)) return false;
+    if (i > 0 && !(pieces[i - 1].span.end < span.begin)) return false;
+  }
+  return true;
+}
+
+/// Appends `p` to the pieces out[first..]: what normalize() makes of
+/// pieces that arrive sorted with distinct begins (a zero piece is
+/// dropped, one that continues the last piece at its value joins it).
+void append_normalized(std::vector<Segment>& out, std::size_t first,
+                       const Segment& p) {
+  if (p.value == 0.0) return;
+  if (out.size() > first && out.back().span.end == p.span.begin &&
+      out.back().value == p.value) {
+    out.back().span.end = p.span.end;
+  } else {
+    out.push_back(p);
+  }
+}
+
+/// sum_of's sweep over `count` events in sorted order, event i being
+/// at(i) = (time, signed value): the running sum between consecutive
+/// distinct event times, with anything within `dust` of zero snapped to
+/// zero, appended to `out` normalized.
+template <class EventAt>
+void sweep(std::size_t count, EventAt at, double dust,
+           std::vector<Segment>& out) {
+  const std::size_t first = out.size();
+  double running = 0.0;
+  std::size_t i = 0;
+  while (i < count) {
+    const Time t = at(i).first;
+    while (i < count && at(i).first == t) {
+      running += at(i).second;
+      ++i;
+    }
+    if (std::fabs(running) <= dust) running = 0.0;
+    if (i < count) {
+      append_normalized(out, first, Segment{{t, at(i).first}, running});
+    }
+  }
+}
+
 }  // namespace
 
 StepFunction StepFunction::constant(Interval iv, double v) {
@@ -38,8 +90,30 @@ StepFunction StepFunction::constant(Interval iv, double v) {
 }
 
 StepFunction StepFunction::sum_of(std::span<const Segment> pieces) {
+  StepFunction out;
+  out.pieces_.reserve(pieces.empty() ? 0 : 2 * pieces.size() - 1);
+  append_sum_of(pieces, out.pieces_);
+  return out;
+}
+
+void StepFunction::append_sum_of(std::span<const Segment> pieces,
+                                 std::vector<Segment>& out) {
   // Sweep line: +value at each begin, -value at each end; the running sum
   // between consecutive distinct event times is the summed function.
+  // Scale for snapping cancellation residue (+v then -v leaves ~1 ulp of
+  // dust in the running sum, which would surface as spurious tiny pieces).
+  double scale = 0.0;
+  if (in_event_order(pieces)) {
+    for (const Segment& p : pieces) scale = std::max(scale, std::fabs(p.value));
+    const auto event = [pieces](std::size_t i) {
+      const Segment& p = pieces[i / 2];
+      return i % 2 == 0 ? std::pair{p.span.begin, p.value}
+                        : std::pair{p.span.end, -p.value};
+    };
+    sweep(2 * pieces.size(), event, 1e-12 * scale, out);
+    return;
+  }
+
   std::vector<std::pair<Time, double>> events;
   events.reserve(2 * pieces.size());
   for (const auto& p : pieces) {
@@ -49,33 +123,12 @@ StepFunction StepFunction::sum_of(std::span<const Segment> pieces) {
   }
   std::sort(events.begin(), events.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Scale for snapping cancellation residue (+v then -v leaves ~1 ulp of
-  // dust in the running sum, which would surface as spurious tiny pieces).
-  double scale = 0.0;
   for (const auto& e : events) scale = std::max(scale, std::fabs(e.second));
-  const double dust = 1e-12 * scale;
-
-  StepFunction out;
-  out.pieces_.reserve(events.empty() ? 0 : events.size() - 1);
-  double running = 0.0;
-  std::size_t i = 0;
-  while (i < events.size()) {
-    const Time t = events[i].first;
-    while (i < events.size() && events[i].first == t) {
-      running += events[i].second;
-      ++i;
-    }
-    if (std::fabs(running) <= dust) running = 0.0;
-    if (i < events.size()) {
-      out.pieces_.push_back(Segment{{t, events[i].first}, running});
-    }
-  }
-  out.normalize();
-  return out;
+  sweep(events.size(), [&events](std::size_t i) { return events[i]; },
+        1e-12 * scale, out);
 }
 
-double StepFunction::value(Time t) const {
+double StepView::value(Time t) const {
   // Pieces are sorted; find the piece with span.begin < t <= span.end.
   auto it = std::upper_bound(
       pieces_.begin(), pieces_.end(), t,
@@ -85,13 +138,13 @@ double StepFunction::value(Time t) const {
   return 0.0;
 }
 
-double StepFunction::integral() const {
+double StepView::integral() const {
   double total = 0.0;
   for (const auto& p : pieces_) total += p.span.length() * p.value;
   return total;
 }
 
-double StepFunction::integral(Interval iv) const {
+double StepView::integral(Interval iv) const {
   double total = 0.0;
   for (const auto& p : pieces_) {
     const Interval cut = p.span.intersect(iv);
@@ -100,7 +153,7 @@ double StepFunction::integral(Interval iv) const {
   return total;
 }
 
-double StepFunction::power_integral(double alpha) const {
+double StepView::power_integral(double alpha) const {
   QBSS_EXPECTS(alpha > 0.0);
   double total = 0.0;
   for (const auto& p : pieces_) {
@@ -109,13 +162,13 @@ double StepFunction::power_integral(double alpha) const {
   return total;
 }
 
-double StepFunction::max_value() const {
+double StepView::max_value() const {
   double m = 0.0;
   for (const auto& p : pieces_) m = std::max(m, p.value);
   return m;
 }
 
-Interval StepFunction::support() const {
+Interval StepView::support() const {
   Time lo = kInf;
   Time hi = -kInf;
   for (const auto& p : pieces_) {
@@ -141,15 +194,16 @@ StepFunction StepFunction::plus(const StepFunction& other) const {
   return out;
 }
 
-StepFunction StepFunction::scaled(double k) const {
+StepFunction StepView::scaled(double k) const {
   QBSS_EXPECTS(k >= 0.0);
-  StepFunction out = *this;
+  StepFunction out;
+  out.pieces_.assign(pieces_.begin(), pieces_.end());
   for (auto& p : out.pieces_) p.value *= k;
   out.normalize();
   return out;
 }
 
-StepFunction StepFunction::restricted(Interval iv) const {
+StepFunction StepView::restricted(Interval iv) const {
   StepFunction out;
   out.pieces_.reserve(pieces_.size());
   for (const auto& p : pieces_) {
@@ -178,7 +232,7 @@ void StepFunction::add_constant(Interval iv, double v) {
   }
 }
 
-std::vector<Time> StepFunction::breakpoints() const {
+std::vector<Time> StepView::breakpoints() const {
   std::vector<Time> ts;
   ts.reserve(2 * pieces_.size());
   for (const auto& p : pieces_) {
@@ -190,11 +244,58 @@ std::vector<Time> StepFunction::breakpoints() const {
   return ts;
 }
 
-bool StepFunction::approx_equals(const StepFunction& other, double tol) const {
-  const std::vector<Time> ts = merged_boundaries(pieces_, other.pieces_);
-  for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
-    const Time probe = ts[i + 1];
-    if (!approx_eq(value(probe), other.value(probe), tol)) return false;
+namespace {
+
+/// Boundaries of normalized pieces in ascending order (begin, end, begin,
+/// end, ...; an end may equal the next begin), with the function's value
+/// at each: value(t) for a t that never decreases between calls.
+class BoundaryCursor {
+ public:
+  explicit BoundaryCursor(std::span<const Segment> pieces)
+      : pieces_(pieces) {}
+
+  [[nodiscard]] bool done() const noexcept {
+    return next_ == 2 * pieces_.size();
+  }
+  [[nodiscard]] Time peek() const noexcept {
+    const Segment& p = pieces_[next_ / 2];
+    return next_ % 2 == 0 ? p.span.begin : p.span.end;
+  }
+  void advance() noexcept { ++next_; }
+
+  [[nodiscard]] double value(Time t) noexcept {
+    while (at_ < pieces_.size() && pieces_[at_].span.end < t) ++at_;
+    if (at_ < pieces_.size() && pieces_[at_].span.contains(t)) {
+      return pieces_[at_].value;
+    }
+    return 0.0;
+  }
+
+ private:
+  std::span<const Segment> pieces_;
+  std::size_t next_ = 0;  ///< next boundary
+  std::size_t at_ = 0;    ///< first piece that may contain the probe
+};
+
+}  // namespace
+
+bool StepView::approx_equals(StepView other, double tol) const {
+  // The distinct boundaries of both functions, merged in ascending order;
+  // every one but the first is a probe.
+  BoundaryCursor a(pieces_);
+  BoundaryCursor b(other.pieces_);
+  bool first = true;
+  Time last = 0.0;
+  while (!a.done() || !b.done()) {
+    BoundaryCursor& from =
+        b.done() || (!a.done() && a.peek() <= b.peek()) ? a : b;
+    const Time t = from.peek();
+    from.advance();
+    if (!first && t == last) continue;
+    const bool probe = !first;
+    first = false;
+    last = t;
+    if (probe && !approx_eq(a.value(t), b.value(t), tol)) return false;
   }
   return true;
 }

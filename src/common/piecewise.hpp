@@ -8,6 +8,16 @@
 // Convention: a StepFunction with breakpoints t_0 < t_1 < ... < t_n and
 // values v_1..v_n equals v_i on the half-open piece (t_{i-1}, t_i], and 0
 // outside (t_0, t_n]. This matches the paper's (r_j, d_j] windows.
+//
+// A StepView reads normalized pieces that someone else owns: a
+// StepFunction's, or one job's rate inside a Schedule's piece buffer. The
+// queries (value, integrals, support, breakpoints, approx_equals) are the
+// view's; StepFunction forwards to them, so both share one implementation.
+//
+// sum_of sweeps +value/-value events in time order. Pieces whose event
+// times are already sorted and distinct (non-empty, sorted, with a gap
+// between each two) skip the event sort and its buffer; both paths run
+// the same sweep and give the same bits.
 #pragma once
 
 #include <span>
@@ -26,20 +36,22 @@ struct Segment {
   friend bool operator==(const Segment&, const Segment&) = default;
 };
 
-/// Immutable-value piecewise-constant function; see file comment for the
-/// half-open convention. Value semantics; cheap to copy at the sizes this
-/// library produces (breakpoints are O(#jobs)).
-class StepFunction {
+class StepFunction;
+
+/// Read-only view of normalized pieces (sorted, disjoint, adjacent values
+/// distinct, no zero pieces); see file comment. Holds no storage: it is
+/// valid while the pieces' owner lives and is not changed.
+class StepView {
  public:
   /// The identically-zero function.
-  StepFunction() = default;
+  StepView() = default;
+  explicit StepView(std::span<const Segment> pieces) noexcept
+      : pieces_(pieces) {}
 
-  /// Function equal to `v` on `iv` and 0 elsewhere. `iv` must be non-empty.
-  [[nodiscard]] static StepFunction constant(Interval iv, double v);
-
-  /// Builds from arbitrary (possibly unsorted / overlapping) segments by
-  /// summing overlaps.
-  [[nodiscard]] static StepFunction sum_of(std::span<const Segment> pieces);
+  /// The normalized pieces.
+  [[nodiscard]] std::span<const Segment> pieces() const noexcept {
+    return pieces_;
+  }
 
   /// f(t) with the (.,.] convention: the value of the piece whose half-open
   /// span contains t; 0 outside the support.
@@ -62,8 +74,13 @@ class StepFunction {
   /// Smallest interval containing all nonzero pieces (empty for zero fn).
   [[nodiscard]] Interval support() const;
 
-  /// Pointwise sum.
-  [[nodiscard]] StepFunction plus(const StepFunction& other) const;
+  /// All breakpoints (piece boundaries), sorted ascending.
+  [[nodiscard]] std::vector<Time> breakpoints() const;
+
+  /// True iff the two functions are pointwise equal up to `tol`: probes
+  /// every distinct breakpoint of either but the smallest, merging the
+  /// two breakpoint lists with one cursor each.
+  [[nodiscard]] bool approx_equals(StepView other, double tol = kEps) const;
 
   /// Pointwise scaling by k >= 0.
   [[nodiscard]] StepFunction scaled(double k) const;
@@ -71,11 +88,64 @@ class StepFunction {
   /// This function restricted to `iv` (0 outside).
   [[nodiscard]] StepFunction restricted(Interval iv) const;
 
+ private:
+  std::span<const Segment> pieces_;
+};
+
+/// Immutable-value piecewise-constant function; see file comment for the
+/// half-open convention. Value semantics; cheap to copy at the sizes this
+/// library produces (breakpoints are O(#jobs)).
+class StepFunction {
+ public:
+  /// The identically-zero function.
+  StepFunction() = default;
+
+  /// Function equal to `v` on `iv` and 0 elsewhere. `iv` must be non-empty.
+  [[nodiscard]] static StepFunction constant(Interval iv, double v);
+
+  /// Builds from arbitrary (possibly unsorted / overlapping) segments by
+  /// summing overlaps.
+  [[nodiscard]] static StepFunction sum_of(std::span<const Segment> pieces);
+
+  /// sum_of(pieces)'s normalized pieces, appended to `out`.
+  static void append_sum_of(std::span<const Segment> pieces,
+                            std::vector<Segment>& out);
+
+  /// The view the queries below forward to. Implicit, so any function
+  /// that reads a StepView takes a StepFunction too.
+  [[nodiscard]] StepView view() const noexcept { return StepView(pieces_); }
+  operator StepView() const noexcept { return view(); }
+
+  [[nodiscard]] double value(Time t) const { return view().value(t); }
+  [[nodiscard]] double integral() const { return view().integral(); }
+  [[nodiscard]] double integral(Interval iv) const {
+    return view().integral(iv);
+  }
+  [[nodiscard]] double power_integral(double alpha) const {
+    return view().power_integral(alpha);
+  }
+  [[nodiscard]] double max_value() const { return view().max_value(); }
+  [[nodiscard]] Interval support() const { return view().support(); }
+
+  /// Pointwise sum.
+  [[nodiscard]] StepFunction plus(const StepFunction& other) const;
+
+  [[nodiscard]] StepFunction scaled(double k) const {
+    return view().scaled(k);
+  }
+  [[nodiscard]] StepFunction restricted(Interval iv) const {
+    return view().restricted(iv);
+  }
+
   /// Adds `v` on `iv` in place. A piece that starts at or after the last
   /// piece's end is appended in O(1) (the left-to-right build every
   /// profile in the library uses); any other piece rebuilds through
   /// plus(). Both give the same pieces, bit for bit.
   void add_constant(Interval iv, double v);
+
+  /// Back to the zero function, keeping the piece buffer's capacity (for
+  /// a profile rebuilt in a loop).
+  void clear() noexcept { pieces_.clear(); }
 
   /// The normalized pieces (sorted, disjoint, adjacent values distinct,
   /// zero-valued outer pieces trimmed).
@@ -83,18 +153,20 @@ class StepFunction {
     return pieces_;
   }
 
-  /// All breakpoints (piece boundaries), sorted ascending.
-  [[nodiscard]] std::vector<Time> breakpoints() const;
-
-  /// True iff the two functions are pointwise equal up to `tol`.
-  [[nodiscard]] bool approx_equals(const StepFunction& other,
-                                   double tol = kEps) const;
+  [[nodiscard]] std::vector<Time> breakpoints() const {
+    return view().breakpoints();
+  }
+  [[nodiscard]] bool approx_equals(StepView other, double tol = kEps) const {
+    return view().approx_equals(other, tol);
+  }
 
   friend StepFunction operator+(const StepFunction& a, const StepFunction& b) {
     return a.plus(b);
   }
 
  private:
+  friend class StepView;
+
   void normalize();
 
   std::vector<Segment> pieces_;  // sorted, disjoint, contiguous-or-gapped

@@ -38,6 +38,7 @@ core::QInstance compression_instance(const CompressionConfig& config,
                config.pass_cost_fraction <= 1.0);
   Xoshiro256 rng(seed);
   core::QInstance out;
+  out.reserve(static_cast<std::size_t>(config.files));
   for (int i = 0; i < config.files; ++i) {
     const Work w = draw_size(rng, config.size_spread);
     out.add(0.0, config.deadline, config.pass_cost_fraction * w, w,
@@ -52,6 +53,7 @@ core::QInstance compression_stream(const CompressionConfig& config,
   QBSS_EXPECTS(config.files >= 1 && horizon > 0.0 && window > 0.0);
   Xoshiro256 rng(seed);
   core::QInstance out;
+  out.reserve(static_cast<std::size_t>(config.files));
   for (int i = 0; i < config.files; ++i) {
     const Work w = draw_size(rng, config.size_spread);
     const Time r = rng.uniform(0.0, horizon);

@@ -11,6 +11,7 @@ core::QInstance geometric_release_family(int n, double q, double query_eps) {
   QBSS_EXPECTS(q > 0.0 && q < 1.0);
   QBSS_EXPECTS(query_eps > 0.0 && query_eps <= 1.0);
   core::QInstance out;
+  out.reserve(static_cast<std::size_t>(n));
   double prev = 1.0;  // q^(k-1)
   for (int k = 1; k <= n; ++k) {
     const double cur = prev * q;  // q^k
@@ -30,6 +31,7 @@ core::QInstance oa_adversarial_family(int n, double q, double query_eps) {
   QBSS_EXPECTS(q > 0.0 && q < 1.0);
   QBSS_EXPECTS(query_eps > 0.0 && query_eps <= 1.0);
   core::QInstance out;
+  out.reserve(static_cast<std::size_t>(n));
   double remaining = 1.0;  // q^k
   for (int k = 1; k <= n; ++k) {
     const double next = remaining * q;

@@ -14,6 +14,7 @@ core::QInstance optimizer_instance(const OptimizerConfig& config,
                config.pass_cost_fraction <= 1.0);
   Xoshiro256 rng(seed);
   core::QInstance out;
+  out.reserve(static_cast<std::size_t>(config.jobs));
   for (int i = 0; i < config.jobs; ++i) {
     const Work w = rng.uniform(config.w_min, config.w_max);
     const Work wstar =

@@ -31,6 +31,7 @@ QInstance random_common_deadline(int n, double deadline, std::uint64_t seed,
   QBSS_EXPECTS(n >= 1 && deadline > 0.0);
   Xoshiro256 rng(seed);
   QInstance out;
+  out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Loads l = draw_loads(rng, profile);
     out.add(0.0, deadline, l.c, l.w, l.wstar);
@@ -43,6 +44,7 @@ QInstance random_pow2_deadlines(int n, int max_exponent, std::uint64_t seed,
   QBSS_EXPECTS(n >= 1 && max_exponent >= 0);
   Xoshiro256 rng(seed);
   QInstance out;
+  out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Loads l = draw_loads(rng, profile);
     const int exp = static_cast<int>(
@@ -58,6 +60,7 @@ QInstance random_arbitrary_deadlines(int n, double horizon,
   QBSS_EXPECTS(n >= 1 && horizon > 0.5);
   Xoshiro256 rng(seed);
   QInstance out;
+  out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Loads l = draw_loads(rng, profile);
     out.add(0.0, rng.uniform(0.5, horizon), l.c, l.w, l.wstar);
@@ -72,6 +75,7 @@ QInstance random_online(int n, double horizon, double min_window,
   QBSS_EXPECTS(0.0 < min_window && min_window <= max_window);
   Xoshiro256 rng(seed);
   QInstance out;
+  out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Loads l = draw_loads(rng, profile);
     const Time r = rng.uniform(0.0, horizon);

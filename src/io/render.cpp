@@ -12,7 +12,7 @@ namespace qbss::io {
 namespace {
 
 /// Sample value at the midpoint of column c over [t0, t1).
-double sample(const StepFunction& f, Interval span, int width, int c) {
+double sample(StepView f, Interval span, int width, int c) {
   const double t = span.begin +
                    (static_cast<double>(c) + 0.5) * span.length() / width;
   return f.value(t);
@@ -81,8 +81,7 @@ std::string render_schedule(const scheduling::Schedule& schedule,
 
   std::ostringstream out;
   for (std::size_t j = 0; j < schedule.job_count(); ++j) {
-    const StepFunction& rate =
-        schedule.rate(static_cast<scheduling::JobId>(j));
+    const StepView rate = schedule.rate(static_cast<scheduling::JobId>(j));
     out << "job " << j << (j < 10 ? "  |" : " |");
     for (int c = 0; c < width; ++c) {
       out << shade(sample(rate, span, width, c), max);

@@ -20,13 +20,6 @@ QJob single(Work c, Work w, Work wstar) {
 
 // ----- Lemma 4.1 ------------------------------------------------------
 
-QInstance lemma41_instance(double eps, Work w) {
-  QBSS_EXPECTS(eps > 0.0 && eps < 1.0);
-  QInstance out;
-  out.add(0.0, 1.0, eps * w, w, eps * w);
-  return out;
-}
-
 RatioPair lemma41_never_query_ratio(double eps, double alpha) {
   const QJob job = single(eps, 1.0, eps);
   const SingleJobOutcome alg = run_without_query(job, alpha);

@@ -18,11 +18,9 @@ struct RatioPair {
 
 // ----- Lemma 4.1: never querying is unboundedly bad ------------------
 
-/// The instance (r, d, c, w, w*) = (0, 1, eps*w, w, eps*w).
-[[nodiscard]] QInstance lemma41_instance(double eps, Work w = 1.0);
-
-/// Ratio of the never-query algorithm on lemma41_instance: speed 1/(2 eps),
-/// energy (1/(2 eps))^alpha — diverges as eps -> 0.
+/// Ratio of the never-query algorithm on the one job (r, d, c, w, w*) =
+/// (0, 1, eps, 1, eps): speed 1/(2 eps), energy (1/(2 eps))^alpha —
+/// diverges as eps -> 0.
 [[nodiscard]] RatioPair lemma41_never_query_ratio(double eps, double alpha);
 
 // ----- Lemma 4.2: phi / phi^alpha lower bound in the oracle model ----

@@ -30,9 +30,10 @@ scheduling::ValidationReport validate_partitioned_run(
     report.errors.push_back("expansion does not match the instance");
     return report;
   }
+  const Expansion::PartsBySource by_source = run.expansion.parts_by_source();
   for (std::size_t q = 0; q < instance.size(); ++q) {
     const QJob& job = instance.job(static_cast<JobId>(q));
-    for (const JobId part : run.expansion.parts_of(static_cast<JobId>(q))) {
+    for (const JobId part : by_source.of(static_cast<JobId>(q))) {
       const auto& cj = run.expansion.classical.job(part);
       if (!job.window().covers(cj.window())) {
         report.feasible = false;

@@ -25,6 +25,9 @@ class QInstance {
     return static_cast<JobId>(jobs_.size() - 1);
   }
 
+  /// Makes room for `n` jobs, so a generator's adds allocate once.
+  void reserve(std::size_t n) { jobs_.reserve(n); }
+
   [[nodiscard]] std::span<const QJob> jobs() const noexcept { return jobs_; }
   [[nodiscard]] const QJob& job(JobId id) const {
     QBSS_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < jobs_.size());

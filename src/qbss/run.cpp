@@ -1,6 +1,8 @@
 #include "qbss/run.hpp"
 
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "obs/registry.hpp"
 
@@ -22,9 +24,11 @@ void check_expansion(const QInstance& instance, const Expansion& expansion,
     return;
   }
 
+  const Expansion::PartsBySource by_source = expansion.parts_by_source();
   for (std::size_t q = 0; q < instance.size(); ++q) {
     const QJob& job = instance.job(static_cast<JobId>(q));
-    const auto parts = expansion.parts_of(static_cast<JobId>(q));
+    const std::span<const JobId> parts =
+        by_source.of(static_cast<JobId>(q));
 
     if (expansion.queried[q]) {
       if (parts.size() != 2) {

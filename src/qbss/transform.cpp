@@ -1,14 +1,45 @@
 #include "qbss/transform.hpp"
 
+#include <algorithm>
+
 #include "obs/registry.hpp"
 
 namespace qbss::core {
+
+Expansion::PartsBySource Expansion::parts_by_source() const {
+  const std::size_t n = queried.size();
+  const auto source_of = [n](const Part& part) {
+    return part.source >= 0 ? static_cast<std::size_t>(part.source) : n;
+  };
+  PartsBySource out;
+  out.first.assign(n + 1, 0);
+  for (const Part& part : parts) {
+    if (const std::size_t q = source_of(part); q < n) ++out.first[q + 1];
+  }
+  for (std::size_t q = 0; q < n; ++q) out.first[q + 1] += out.first[q];
+  out.ids.resize(out.first[n]);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (const std::size_t q = source_of(parts[i]); q < n) {
+      out.ids[out.first[q]++] = static_cast<JobId>(i);
+    }
+  }
+  // The scatter left first[q] at the end of job q's run, which is where
+  // job q + 1's begins.
+  for (std::size_t q = n; q > 0; --q) out.first[q] = out.first[q - 1];
+  out.first[0] = 0;
+  return out;
+}
 
 Expansion expand_with_decisions(const QInstance& instance,
                                 const std::vector<bool>& decisions,
                                 SplitPolicy split) {
   QBSS_EXPECTS(decisions.size() == instance.size());
   Expansion out;
+  // One part per job, and a second per queried job.
+  const auto queries = std::count(decisions.begin(), decisions.end(), true);
+  const std::size_t parts = instance.size() + static_cast<std::size_t>(queries);
+  out.classical.reserve(parts);
+  out.parts.reserve(parts);
   out.queried.resize(instance.size(), false);
   RevealGate gate(instance);
   std::size_t issued = 0;
@@ -47,6 +78,7 @@ Expansion expand(const QInstance& instance, QueryPolicy query,
 
 scheduling::Instance clairvoyant_instance(const QInstance& instance) {
   scheduling::Instance out;
+  out.reserve(instance.size());
   for (const QJob& j : instance.jobs()) {
     out.add(j.release, j.deadline, j.best_load());
   }

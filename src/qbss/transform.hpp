@@ -7,6 +7,7 @@
 // time by which the query has provably completed.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "qbss/policy.hpp"
@@ -34,14 +35,24 @@ struct Expansion {
   /// queried[q] — whether QBSS job q was queried under the policy.
   std::vector<bool> queried;
 
-  /// Ids of the classical parts of QBSS job `q` (1 or 2 entries).
-  [[nodiscard]] std::vector<JobId> parts_of(JobId q) const {
-    std::vector<JobId> out;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (parts[i].source == q) out.push_back(static_cast<JobId>(i));
+  /// The classical parts of every QBSS job, grouped by source.
+  struct PartsBySource {
+    /// QBSS job q's part ids are ids[first[q], first[q + 1]).
+    std::vector<std::size_t> first;
+    std::vector<JobId> ids;
+
+    /// Ids of the classical parts of QBSS job `q` in index order (1 or 2
+    /// entries).
+    [[nodiscard]] std::span<const JobId> of(JobId q) const {
+      const auto i = static_cast<std::size_t>(q);
+      return std::span<const JobId>(ids).subspan(first[i],
+                                                 first[i + 1] - first[i]);
     }
-    return out;
-  }
+  };
+  /// Every QBSS job's parts in one stable counting pass over `parts`.
+  /// Parts whose source is not a QBSS job (outside [0, queried.size()))
+  /// are left out.
+  [[nodiscard]] PartsBySource parts_by_source() const;
 };
 
 /// Expands under a (query, split) policy pair — the J' construction of

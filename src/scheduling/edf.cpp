@@ -126,10 +126,17 @@ bool edf_into(std::span<const ClassicalJob> jobs, const StepFunction& profile,
   // and the feasibility checks allow it on top of work_eps.
   Work overrun = 0.0;
 
+  // The profile piece that may hold the cell's right end: the grid
+  // ascends, so one forward cursor reads profile.value(b) for every cell.
+  const std::span<const Segment> speeds = profile.pieces();
+  std::size_t at = 0;
   for (std::size_t g = 0; g + 1 < grid.size(); ++g) {
     const Time a = grid[g];
     const Time b = grid[g + 1];
-    const Speed s = profile.value(b);  // constant on (a, b]
+    while (at < speeds.size() && speeds[at].span.end < b) ++at;
+    const Speed s = at < speeds.size() && speeds[at].span.contains(b)
+                        ? speeds[at].value
+                        : 0.0;  // constant on (a, b]
 
     while (next_release < n && jobs[by_release[next_release]].release <= a) {
       heap.push_back(by_release[next_release++]);

@@ -26,6 +26,9 @@ class Instance {
     return static_cast<JobId>(jobs_.size() - 1);
   }
 
+  /// Makes room for `n` jobs, so the adds that follow allocate once.
+  void reserve(std::size_t n) { jobs_.reserve(n); }
+
   [[nodiscard]] std::span<const ClassicalJob> jobs() const noexcept {
     return jobs_;
   }

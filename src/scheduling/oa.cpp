@@ -38,7 +38,7 @@ Schedule optimal_available(const Instance& instance) {
   plan_ids.reserve(n);
   // Work each job runs in the current replan's window.
   std::vector<Work> executed(n, 0.0);
-  EdfScratch scratch;
+  YdsScratch scratch;
 
   for (std::size_t k = 0; k < arrivals.size(); ++k) {
     const Time now = arrivals[k];

@@ -23,6 +23,43 @@ void count_outcome(const ValidationReport& report) {
 
 }  // namespace
 
+Schedule ScheduleBuilder::build() && {
+  const std::size_t n = job_count_;
+  Schedule out;
+
+  // Stable counting pass: job j's pieces, in insertion order, go to
+  // all[offsets[j], offsets[j + 1]). The scatter leaves offsets[j] at the
+  // end of job j's range.
+  std::vector<std::size_t>& offsets = out.offsets_;
+  offsets.assign(n + 1, 0);
+  for (const Piece& p : pieces_) {
+    ++offsets[static_cast<std::size_t>(p.job) + 1];
+  }
+  for (std::size_t j = 0; j < n; ++j) offsets[j + 1] += offsets[j];
+  std::vector<Segment> all(pieces_.size());
+  for (const Piece& p : pieces_) {
+    all[offsets[static_cast<std::size_t>(p.job)]++] = p.segment;
+  }
+
+  // Each job's normalized rate goes straight into the schedule's buffer;
+  // offsets[j] turns from the end of job j's input into the begin of its
+  // output.
+  out.pieces_.reserve(all.size());
+  std::size_t begin = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t end = offsets[j];
+    offsets[j] = out.pieces_.size();
+    StepFunction::append_sum_of(
+        std::span<const Segment>(all).subspan(begin, end - begin),
+        out.pieces_);
+    begin = end;
+  }
+  offsets[n] = out.pieces_.size();
+
+  out.speed_ = StepFunction::sum_of(all);
+  return out;
+}
+
 ValidationReport validate(const Instance& instance, const Schedule& schedule,
                           double tol) {
   ValidationReport report;
@@ -33,11 +70,10 @@ ValidationReport validate(const Instance& instance, const Schedule& schedule,
     return report;
   }
 
-  std::vector<Segment> all;
   for (std::size_t i = 0; i < instance.size(); ++i) {
     const JobId id = static_cast<JobId>(i);
     const ClassicalJob& job = instance.job(id);
-    const StepFunction& rate = schedule.rate(id);
+    const StepView rate = schedule.rate(id);
 
     for (const Segment& s : rate.pieces()) {
       if (s.value < -tol) {
@@ -52,7 +88,6 @@ ValidationReport validate(const Instance& instance, const Schedule& schedule,
             << job.deadline << "]";
         fail(report, msg.str());
       }
-      all.push_back(s);
     }
 
     const Work done = rate.integral();
@@ -63,7 +98,8 @@ ValidationReport validate(const Instance& instance, const Schedule& schedule,
     }
   }
 
-  const StepFunction total = StepFunction::sum_of(all);
+  // Every rate's pieces, job after job: the schedule's own buffer.
+  const StepFunction total = StepFunction::sum_of(schedule.pieces());
   if (!total.approx_equals(schedule.speed(), tol)) {
     fail(report, "speed profile is not the sum of job rates");
   }

@@ -6,8 +6,19 @@
 // non-negative (one job at a time, time-multiplexed within every
 // infinitesimal slice in proportion to its rate), so this representation is
 // exact for every algorithm in the paper while keeping energy closed-form.
+//
+// Storage: a Schedule keeps every job's normalized rate pieces in one
+// buffer, job after job, with per-job offsets; rate(j) is a StepView into
+// it. So a Schedule costs three heap blocks (pieces, offsets, speed)
+// whatever its job count. ScheduleBuilder likewise collects pieces in one
+// buffer in insertion order; build() groups them by job with a stable
+// counting pass and sums each job's pieces with StepFunction::sum_of's
+// sweep straight into the schedule's buffer. A job whose pieces arrive in
+// time order with gaps between them (every YDS round's) skips sum_of's
+// sort.
 #pragma once
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,14 +37,24 @@ class Schedule {
   /// Machine speed profile s(t) = sum of all job rates.
   [[nodiscard]] const StepFunction& speed() const noexcept { return speed_; }
 
-  /// Rate function of one job.
-  [[nodiscard]] const StepFunction& rate(JobId id) const {
-    QBSS_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < rates_.size());
-    return rates_[static_cast<std::size_t>(id)];
+  /// Rate function of one job: a view into this schedule's piece buffer
+  /// (deleted on a temporary Schedule, whose buffer dies with it).
+  [[nodiscard]] StepView rate(JobId id) const& {
+    QBSS_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < job_count());
+    const auto j = static_cast<std::size_t>(id);
+    return StepView(std::span<const Segment>(pieces_).subspan(
+        offsets_[j], offsets_[j + 1] - offsets_[j]));
   }
+  StepView rate(JobId id) const&& = delete;
+
+  /// Every job's rate pieces, rate(0)'s first, then rate(1)'s, ...
+  [[nodiscard]] std::span<const Segment> pieces() const& noexcept {
+    return pieces_;
+  }
+  std::span<const Segment> pieces() const&& = delete;
 
   [[nodiscard]] std::size_t job_count() const noexcept {
-    return rates_.size();
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
   /// Total energy under P(s) = s^alpha.
@@ -67,45 +88,42 @@ class Schedule {
   friend class ScheduleBuilder;
 
   StepFunction speed_;
-  std::vector<StepFunction> rates_;
+  std::vector<Segment> pieces_;
+  /// Job j's pieces are pieces_[offsets_[j], offsets_[j + 1]); empty for
+  /// a schedule of no jobs.
+  std::vector<std::size_t> offsets_;
 };
 
 /// Accumulates per-job rate pieces, then derives the speed profile.
 class ScheduleBuilder {
  public:
-  explicit ScheduleBuilder(std::size_t job_count) : rates_(job_count) {}
+  explicit ScheduleBuilder(std::size_t job_count) : job_count_(job_count) {}
 
   /// Adds `speed` units/s of job `id` during `span` (accumulative).
   void add_rate(JobId id, Interval span, Speed speed) {
-    QBSS_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < rates_.size());
+    QBSS_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < job_count_);
     QBSS_EXPECTS(speed >= 0.0);
     if (span.empty() || speed == 0.0) return;
-    rates_[static_cast<std::size_t>(id)].push_back(Segment{span, speed});
+    pieces_.push_back(Piece{Segment{span, speed}, id});
   }
 
   /// Adds a whole rate function for job `id` (accumulative).
-  void add_rate(JobId id, const StepFunction& rate) {
+  void add_rate(JobId id, StepView rate) {
     for (const Segment& s : rate.pieces()) add_rate(id, s.span, s.value);
   }
 
-  /// Finalizes: per-job rates are summed, machine speed is their total.
-  [[nodiscard]] Schedule build() && {
-    Schedule out;
-    out.rates_.reserve(rates_.size());
-    std::size_t total = 0;
-    for (const auto& pieces : rates_) total += pieces.size();
-    std::vector<Segment> all;
-    all.reserve(total);
-    for (auto& pieces : rates_) {
-      all.insert(all.end(), pieces.begin(), pieces.end());
-      out.rates_.push_back(StepFunction::sum_of(pieces));
-    }
-    out.speed_ = StepFunction::sum_of(all);
-    return out;
-  }
+  /// Finalizes: per-job rates are summed, machine speed is their total
+  /// (sum_of over every piece, grouped by job in insertion order).
+  [[nodiscard]] Schedule build() &&;
 
  private:
-  std::vector<std::vector<Segment>> rates_;
+  struct Piece {
+    Segment segment;
+    JobId job;
+  };
+
+  std::size_t job_count_;
+  std::vector<Piece> pieces_;  ///< in insertion order
 };
 
 /// Result of checking a schedule against its instance.

@@ -18,9 +18,8 @@ namespace {
 /// Arena-backed scratch for the event-grid critical search and each
 /// round's EDF instance. Every array is carved from the thread-local
 /// SolveArena in one shot when the solve starts; nothing here touches the
-/// heap, so a warm arena leaves only the builder's pieces, each round's
-/// slots and profile, and EDF's scratch (allocated once per solve) to the
-/// heap.
+/// heap, so a warm arena leaves only the builder's pieces and the
+/// caller's YdsScratch to the heap.
 struct FastWorkspace {
   SoaInstance soa;
   unsigned char* done = nullptr;     ///< 0/1 per job
@@ -179,7 +178,7 @@ FastCritical find_critical_fast(FastWorkspace& ws, const IntervalSet& used) {
 /// into `out`, joined as the round's own build() would have merged them,
 /// and works in `scratch`.
 void yds_fast(std::span<const ClassicalJob> jobs, Time horizon,
-              const EdfTarget& out, EdfScratch& scratch) {
+              const EdfTarget& out, YdsScratch& scratch) {
   // The thread arena is rewound at entry: blocks persist across solves,
   // so a warm thread performs zero heap allocations here. yds() must not
   // be re-entered from inside a solve on the same thread (no caller does;
@@ -194,8 +193,12 @@ void yds_fast(std::span<const ClassicalJob> jobs, Time horizon,
   const double* wk = ws.soa.work();
   QBSS_EXPECTS(out.ids.empty() || out.ids.size() == n);
 
-  IntervalSet used;
+  IntervalSet& used = scratch.used;
+  used.clear();
   std::size_t left = n;
+  // Each round's free slots and speed profile, rebuilt in place.
+  std::vector<Interval>& slots = scratch.slots;
+  StepFunction& profile = scratch.profile;
 
   // Zero-work jobs never influence intensities; mark them done upfront.
   for (std::size_t i = 0; i < n; ++i) {
@@ -208,8 +211,8 @@ void yds_fast(std::span<const ClassicalJob> jobs, Time horizon,
     const FastCritical crit = find_critical_fast(ws, used);
     QBSS_ENSURES(crit.contained_count > 0);
 
-    const std::vector<Interval> slots = used.gaps_within(crit.span);
-    StepFunction profile;
+    used.gaps_within(crit.span, slots);
+    profile.clear();
     for (const Interval& g : slots) {
       profile.add_constant(g, crit.intensity);
     }
@@ -223,7 +226,8 @@ void yds_fast(std::span<const ClassicalJob> jobs, Time horizon,
     EdfTarget round = out;
     round.ids = {ws.round_ids, c};
     const bool packed =
-        edf_into({ws.round_jobs, c}, profile, round, /*join=*/true, scratch);
+        edf_into({ws.round_jobs, c}, profile, round, /*join=*/true,
+                 scratch.edf);
     QBSS_ENSURES(packed);
 
     used.insert(crit.span);
@@ -253,13 +257,13 @@ Schedule yds_until(const Instance& instance, Time horizon) {
   QBSS_SPAN("yds.solve");
   expect_common_release(instance.jobs(), horizon);
   ScheduleBuilder builder(instance.size());
-  EdfScratch scratch;
+  YdsScratch scratch;
   yds_fast(instance.jobs(), horizon, {builder}, scratch);
   return std::move(builder).build();
 }
 
 void yds_until(std::span<const ClassicalJob> jobs, Time horizon,
-               const EdfTarget& out, EdfScratch& scratch) {
+               const EdfTarget& out, YdsScratch& scratch) {
   QBSS_SPAN("yds.solve");
   expect_common_release(jobs, horizon);
   yds_fast(jobs, horizon, out, scratch);

@@ -24,6 +24,9 @@
 // piece against it bit for bit.
 #pragma once
 
+#include <vector>
+
+#include "common/interval_set.hpp"
 #include "scheduling/edf.hpp"
 #include "scheduling/schedule.hpp"
 
@@ -37,8 +40,8 @@ namespace qbss::scheduling {
 /// O(n log n) setup plus one density-scan row per distinct release (the
 /// direct-scan oracle pays another factor n per candidate). All scratch
 /// comes from the arena: on a warm thread the solve performs zero heap
-/// allocations outside the returned Schedule, the rounds' slots and
-/// profiles and EDF's scratch (see docs/PERFORMANCE.md).
+/// allocations outside the returned Schedule and one YdsScratch, whose
+/// buffers every round reuses (see docs/PERFORMANCE.md).
 /// Precondition: instance jobs are valid (enforced by Instance).
 [[nodiscard]] Schedule yds(const Instance& instance);
 
@@ -56,15 +59,24 @@ namespace qbss::scheduling {
 /// finite `horizon` needs all releases equal (checked); kInf is yds().
 [[nodiscard]] Schedule yds_until(const Instance& instance, Time horizon);
 
+/// The heap buffers of a solve's rounds: the used set, each round's free
+/// slots and speed profile, and EDF's arrays. A caller solving many plans
+/// keeps one across them, so warm solves allocate none of these.
+struct YdsScratch {
+  IntervalSet used;
+  std::vector<Interval> slots;
+  StepFunction profile;
+  EdfScratch edf;
+};
+
 /// yds_until's rounds on `jobs` (valid jobs, as an Instance holds) added
 /// to `out` instead of a Schedule of their own: job j's pieces go to
 /// out.builder as job out.ids[j], clipped to out.window, each the piece
-/// yds_until's Schedule has (before clipping), bit for bit. EDF works in
-/// `scratch`, which a caller solving many plans keeps across them. OA's
-/// replans call it with the window up to the next arrival. Precondition:
-/// `out.ids` is empty or has one id per job.
+/// yds_until's Schedule has (before clipping), bit for bit. The rounds work
+/// in `scratch`. OA's replans call it with the window up to the next
+/// arrival. Precondition: `out.ids` is empty or has one id per job.
 void yds_until(std::span<const ClassicalJob> jobs, Time horizon,
-               const EdfTarget& out, EdfScratch& scratch);
+               const EdfTarget& out, YdsScratch& scratch);
 
 /// Minimum energy for `instance` under exponent `alpha`.
 [[nodiscard]] Energy optimal_energy(const Instance& instance, double alpha);

@@ -39,10 +39,9 @@ using scheduling::Schedule;
 static_assert(sizeof(Segment) == 3 * sizeof(double),
               "pieces are compared with memcmp");
 
-::testing::AssertionResult same_bits(const StepFunction& got,
-                                     const StepFunction& want) {
-  const std::vector<Segment>& a = got.pieces();
-  const std::vector<Segment>& b = want.pieces();
+::testing::AssertionResult same_bits(StepView got, StepView want) {
+  const std::span<const Segment> a = got.pieces();
+  const std::span<const Segment> b = want.pieces();
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure()
            << a.size() << " pieces, want " << b.size();

@@ -154,9 +154,10 @@ TEST(Expand, PartsOfMapsBackToSource) {
   inst.add(0.0, 2.0, 0.9, 1.0, 0.5);
   const Expansion e =
       expand(inst, QueryPolicy::golden(), SplitPolicy::half());
-  EXPECT_EQ(e.parts_of(0).size(), 2u);
-  EXPECT_EQ(e.parts_of(1).size(), 1u);
-  for (const auto id : e.parts_of(0)) {
+  const Expansion::PartsBySource by_source = e.parts_by_source();
+  EXPECT_EQ(by_source.of(0).size(), 2u);
+  EXPECT_EQ(by_source.of(1).size(), 1u);
+  for (const auto id : by_source.of(0)) {
     EXPECT_EQ(e.parts[static_cast<std::size_t>(id)].source, 0);
   }
 }
